@@ -3,11 +3,10 @@
 // OP2 is a *code generator*: every parallel loop gets a specialized stub
 // with literal constants, fixed arities and no per-argument control flow
 // (paper section 5). opvec's engine reaches the same specialization via
-// templates; here the loops deliberately use RUNTIME-dim descriptors (the
-// compatibility spelling), so arity decisions ride along at run time —
-// the typed-Dim counterpart is measured by ablation_static_dim. This bench
-// quantifies the remaining abstraction gap on the paper's hottest kernel
-// by comparing, single-threaded:
+// templates: every descriptor carries its arity as a compile-time Dim, so
+// the engine's gathers/scatters unroll with literal strides just like a
+// generated stub. This bench quantifies the remaining abstraction gap on
+// the paper's hottest kernel by comparing, single-threaded:
 //   1. a hand-written scalar loop   (what OP2's MPI stub compiles to)
 //   2. a hand-written Fig-3b vector loop (what OP2's AVX stub compiles to)
 //   3. the engine's Seq backend
@@ -109,11 +108,11 @@ int main(int argc, char** argv) {
     // Reusable Loop handle: the engine's steady-state path (plan pinned,
     // conflict analysis done once) — the fair comparison against the
     // hand-written stubs above, which also do no per-sweep setup.
-    Loop loop(K, std::string("res_calc_ablation"), edges, arg<opv::READ>(xd, 0, pedge),
-              arg<opv::READ>(xd, 1, pedge), arg<opv::READ>(qd, 0, pecell),
-              arg<opv::READ>(qd, 1, pecell), arg<opv::READ>(ad, 0, pecell),
-              arg<opv::READ>(ad, 1, pecell), arg<opv::INC>(rd, 0, pecell),
-              arg<opv::INC>(rd, 1, pecell));
+    Loop loop(K, std::string("res_calc_ablation"), edges, arg<opv::READ, 2>(xd, 0, pedge),
+              arg<opv::READ, 2>(xd, 1, pedge), arg<opv::READ, 4>(qd, 0, pecell),
+              arg<opv::READ, 4>(qd, 1, pecell), arg<opv::READ, 1>(ad, 0, pecell),
+              arg<opv::READ, 1>(ad, 1, pecell), arg<opv::INC, 4>(rd, 0, pecell),
+              arg<opv::INC, 4>(rd, 1, pecell));
     return time_reps(reps, [&] { loop.run(cfg); });
   };
   const double t_eng_seq = engine(Backend::Seq);

@@ -55,56 +55,36 @@ Fixture& fixture() {
   return f;
 }
 
-void BM_dispatch_inlined(benchmark::State& state) {
+// Every variant runs through a reusable Loop handle (conflict analysis,
+// plan lookup and stats binding done once at construction), so the timings
+// isolate the kernel-call dispatch itself.
+
+template <class Kernel>
+void run_handle(benchmark::State& state, Kernel k, const char* name, Backend backend) {
   auto& f = fixture();
-  const ExecConfig cfg{.backend = Backend::OpenMP, .collect_stats = false};
-  for (auto _ : state) {
-    par_loop(EdgeKernel{}, "inlined", f.edges, cfg, arg(f.q, 0, f.e2c, Access::READ),
-             arg(f.q, 1, f.e2c, Access::READ), arg(f.w, Access::READ),
-             arg(f.r, 0, f.e2c, Access::INC), arg(f.r, 1, f.e2c, Access::INC));
-  }
+  const ExecConfig cfg{.backend = backend, .collect_stats = false};
+  Loop loop(std::move(k), name, f.edges, arg<opv::READ, 1>(f.q, 0, f.e2c),
+            arg<opv::READ, 1>(f.q, 1, f.e2c), arg<opv::READ, 1>(f.w),
+            arg<opv::INC, 1>(f.r, 0, f.e2c), arg<opv::INC, 1>(f.r, 1, f.e2c));
+  for (auto _ : state) loop.run(cfg);
   state.SetItemsProcessed(state.iterations() * f.m.nedges);
+}
+
+void BM_dispatch_inlined(benchmark::State& state) {
+  run_handle(state, EdgeKernel{}, "inlined", Backend::OpenMP);
 }
 
 void BM_dispatch_fnptr(benchmark::State& state) {
-  auto& f = fixture();
-  const ExecConfig cfg{.backend = Backend::OpenMP, .collect_stats = false};
-  ErasedKernel k{EdgeKernel{}};
-  for (auto _ : state) {
-    par_loop(k, "fnptr", f.edges, cfg, arg(f.q, 0, f.e2c, Access::READ),
-             arg(f.q, 1, f.e2c, Access::READ), arg(f.w, Access::READ),
-             arg(f.r, 0, f.e2c, Access::INC), arg(f.r, 1, f.e2c, Access::INC));
-  }
-  state.SetItemsProcessed(state.iterations() * f.m.nedges);
+  run_handle(state, ErasedKernel{EdgeKernel{}}, "fnptr", Backend::OpenMP);
 }
 
 void BM_dispatch_inlined_simd(benchmark::State& state) {
-  auto& f = fixture();
-  const ExecConfig cfg{.backend = Backend::Simd, .collect_stats = false};
-  for (auto _ : state) {
-    par_loop(EdgeKernel{}, "inlined_simd", f.edges, cfg, arg(f.q, 0, f.e2c, Access::READ),
-             arg(f.q, 1, f.e2c, Access::READ), arg(f.w, Access::READ),
-             arg(f.r, 0, f.e2c, Access::INC), arg(f.r, 1, f.e2c, Access::INC));
-  }
-  state.SetItemsProcessed(state.iterations() * f.m.nedges);
-}
-
-/// The reusable Loop handle: conflict analysis, plan lookup and stats
-/// binding amortized to zero per call — the steady-state dispatch path.
-void BM_dispatch_loop_handle(benchmark::State& state) {
-  auto& f = fixture();
-  const ExecConfig cfg{.backend = Backend::Simd, .collect_stats = false};
-  Loop loop(EdgeKernel{}, std::string("loop_handle_simd"), f.edges,
-            arg<opv::READ>(f.q, 0, f.e2c), arg<opv::READ>(f.q, 1, f.e2c),
-            arg<opv::READ>(f.w), arg<opv::INC>(f.r, 0, f.e2c), arg<opv::INC>(f.r, 1, f.e2c));
-  for (auto _ : state) loop.run(cfg);
-  state.SetItemsProcessed(state.iterations() * f.m.nedges);
+  run_handle(state, EdgeKernel{}, "inlined_simd", Backend::Simd);
 }
 
 BENCHMARK(BM_dispatch_inlined)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_dispatch_fnptr)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_dispatch_inlined_simd)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_dispatch_loop_handle)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -79,9 +79,10 @@ int main(int argc, char** argv) {
                     perf::Table::num(a_sp_v[i].seconds, 3) + ")",
                 perf::Table::num(a_dp_v[i].gbs, 1) + "(" +
                     perf::Table::num(a_sp_v[i].gbs, 1) + ")"});
+  const auto parens = [](const std::string& v) { return std::string("(").append(v) + ")"; };
   for (const auto& r : v_sp_v)
-    t7.add_row({r.name, "(" + perf::Table::num(r.seconds, 3) + ")",
-                "(" + perf::Table::num(r.gbs, 1) + ")"});
+    t7.add_row({r.name, parens(perf::Table::num(r.seconds, 3)),
+                parens(perf::Table::num(r.gbs, 1))});
   t7.print();
 
   std::printf("\nShape checks vs paper:\n"

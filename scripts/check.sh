@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Local verification: the tier-1 sequence (configure + build + ctest) plus a
-# smoke run of the dispatch-path microbench, so regressions in the par_loop
-# dispatch path are caught before review.
+# smoke run of the dispatch-path microbench, so regressions in the Loop
+# handle's kernel-dispatch path are caught before review.
 #
 # Usage: scripts/check.sh [--dist] [--ingest] [--resilience] [--docs]
 #                          [--docs-only] [build-dir]
@@ -15,16 +15,15 @@
 #                fixture corpus (fails on round-trip inexactness, on any
 #                imported-vs-in-memory bitwise divergence, or on
 #                cross-backend divergence beyond 1e-12 of the field norm)
-#   --dist       also smoke-run the distributed benches: the dispatch-path
-#                micro (ablation_dist_dispatch: DistCtx::loop vs
-#                dist::Loop::run), the exchange-overlap ablation
-#                (ablation_overlap on a small mesh; fails if overlapped
+#   --dist       also smoke-run the distributed benches: the exchange-overlap
+#                ablation (ablation_overlap on a small mesh; fails if overlapped
 #                execution is not bitwise-identical to blocking phased) and
 #                the renumbering ablation (ablation_renumber on a small
 #                mesh; fails if renumbered execution diverges beyond
 #                floating-point reassociation tolerance)
 #   --docs       also validate the documentation map: every bench/ target
-#                and every src/ subsystem must appear in docs/ARCHITECTURE.md
+#                and every src/ subsystem must appear in docs/ARCHITECTURE.md,
+#                and every bench target the map's table names must exist
 #   --docs-only  run only the documentation check (no configure/build/test)
 set -euo pipefail
 
@@ -64,6 +63,15 @@ check_docs() {
     name="$(basename "$src" .cpp)"
     if ! grep -q "\`$name\`" "$map"; then
       echo "UNDOCUMENTED bench target: $name (add it to the map table in docs/ARCHITECTURE.md)" >&2
+      failed=1
+    fi
+  done
+  # Every bench target the map table names must still exist (a deleted
+  # bench must not leave a stale row behind).
+  local row
+  for row in $(grep -oE '^\| `(ablation_|fig|table)[A-Za-z0-9_]*`' "$map" | tr -d '|` '); do
+    if [ ! -f "$ROOT/bench/$row.cpp" ]; then
+      echo "STALE bench row: $row has no bench/$row.cpp (remove it from docs/ARCHITECTURE.md)" >&2
       failed=1
     fi
   done
@@ -140,8 +148,8 @@ fi
 echo "== memory-layout smoke =="
 # Small meshes, few iterations: exercises the per-dat layout policy (AoS /
 # SoA / AoSoA, core/layout.hpp) end to end and exits non-zero if Seq is not
-# bitwise-identical across layouts or any vector backend (incl. Simt
-# shared-scratch staging) diverges beyond 1e-12 of the field norm. Speedups
+# bitwise-identical across layouts or any vector backend diverges beyond
+# 1e-12 of the field norm. Speedups
 # at this size are noise; scripts/bench_report.sh does the measurement run.
 if [ -x "$BUILD/ablation_layout" ]; then
   "$BUILD/ablation_layout" --small --iters=2
@@ -196,13 +204,6 @@ if [ "$RESIL" = 1 ]; then
 fi
 
 if [ "$DIST" = 1 ]; then
-  echo "== dist dispatch-path smoke =="
-  if [ -x "$BUILD/ablation_dist_dispatch" ]; then
-    "$BUILD/ablation_dist_dispatch" --benchmark_min_time=0.05
-  else
-    echo "ablation_dist_dispatch not built (Google Benchmark missing) - skipped"
-  fi
-
   echo "== exchange-overlap smoke =="
   # Small mesh, few iterations: exercises the phased begin/interior/wait/
   # boundary pipeline end to end and exits non-zero if overlapped results

@@ -3,18 +3,9 @@
 // Access modes are COMPILE-TIME facts. OP2's code generator specializes each
 // parallel loop by substituting literal constants for access modes and
 // arities (paper section 5); this engine gets the same effect by carrying
-// the mode as a non-type template parameter of the argument descriptor, so
-// every gather/scatter branch in the engine is an `if constexpr`.
-//
-// Two spellings build the same typed descriptor:
-//
-//   opv::arg<opv::READ>(dat, idx, map)        explicit template argument
-//   opv::arg(dat, idx, map, Access::READ)     tag argument (OP2-style shape)
-//
-// `Access::READ` is not an enum value but a constexpr tag object of type
-// `AccessTag<AccessMode::READ>`, so the second spelling is exactly as
-// compile-time as the first — the historical op_arg_dat call shape keeps
-// compiling, but the mode now travels in the type system.
+// the mode as a non-type template parameter of the argument descriptor
+// (`opv::arg<opv::READ>(...)`), so every gather/scatter branch in the engine
+// is an `if constexpr`.
 #pragma once
 
 namespace opv {
@@ -38,26 +29,6 @@ inline constexpr AccessMode RW = AccessMode::RW;
 inline constexpr AccessMode INC = AccessMode::INC;
 inline constexpr AccessMode MIN = AccessMode::MIN;
 inline constexpr AccessMode MAX = AccessMode::MAX;
-
-/// Typed access tag: carries the mode in the type so overload deduction can
-/// lift it into a template parameter. Implicitly converts to AccessMode for
-/// runtime contexts (diagnostics, halo bookkeeping).
-template <AccessMode M>
-struct AccessTag {
-  static constexpr AccessMode mode = M;
-  constexpr operator AccessMode() const { return M; }  // NOLINT(google-explicit-constructor)
-};
-
-/// Namespace-like holder so the OP2-era `Access::READ` spelling (and the
-/// common `using A = Access; A::READ` alias) resolves to typed tags.
-struct Access {
-  static constexpr AccessTag<AccessMode::READ> READ{};
-  static constexpr AccessTag<AccessMode::WRITE> WRITE{};
-  static constexpr AccessTag<AccessMode::RW> RW{};
-  static constexpr AccessTag<AccessMode::INC> INC{};
-  static constexpr AccessTag<AccessMode::MIN> MIN{};
-  static constexpr AccessTag<AccessMode::MAX> MAX{};
-};
 
 /// Valid modes for dataset arguments (MIN/MAX reductions are global-only).
 constexpr bool dat_access_ok(AccessMode a) {

@@ -1,7 +1,7 @@
 // LocalCtx: the single-process execution context.
 //
 // Application drivers are written once against the Context concept
-// (decl_set / decl_map / decl_dat / arg / loop / fetch — the op_decl_* API),
+// (decl_set / decl_map / decl_dat / arg / make_loop / fetch — the op_decl_* API),
 // and instantiated with either LocalCtx (this file) or dist::DistCtx (the
 // rank simulator). This mirrors how a single OP2 application source runs on
 // every backend.
@@ -207,44 +207,25 @@ class LocalCtx {
     return out;
   }
 
-  // Typed argument builders: the access mode (and optionally the arity Dim)
-  // travel as template parameters, via explicit template argument or
-  // deduced from the tag. `ctx.arg<opv::READ, 4>(d, ...)` builds a
-  // compile-time-Dim descriptor (checked against the dat's declared dim);
-  // omitting Dim keeps the runtime-dim compatibility descriptor.
-  template <AccessMode A, int Dim = kDynDim, detail::DatLike D>
-  auto arg(D* d, int idx, MapHandle m) {
-    return opv::arg<A, Dim>(*d, idx, *m);
+  // Typed argument builders: the access mode and the arity Dim travel as
+  // template parameters and forward to opv::arg, so the same rules hold:
+  // `ctx.arg<opv::READ, 4>(d, ...)` checks Dim against the dat's declared
+  // dim, a FixedDat handle deduces it (`ctx.arg<opv::READ>(fixed, ...)`).
+  template <AccessMode A, int... Dim, detail::DatLike D>
+  auto arg(D* d, int idx, MapHandle m) -> decltype(opv::arg<A, Dim...>(*d, idx, *m)) {
+    return opv::arg<A, Dim...>(*d, idx, *m);
   }
-  template <AccessMode A, int Dim = kDynDim, detail::DatLike D>
-  auto arg(D* d) {
-    return opv::arg<A, Dim>(*d);
+  template <AccessMode A, int... Dim, detail::DatLike D>
+  auto arg(D* d) -> decltype(opv::arg<A, Dim...>(*d)) {
+    return opv::arg<A, Dim...>(*d);
   }
   template <AccessMode A, class T>
   auto arg_gbl(T* p, int dim) {
     return opv::arg_gbl<A>(p, dim);
   }
-  template <detail::DatLike D, AccessMode A>
-  auto arg(D* d, int idx, MapHandle m, AccessTag<A> t) {
-    return opv::arg(*d, idx, *m, t);
-  }
-  template <detail::DatLike D, AccessMode A>
-  auto arg(D* d, AccessTag<A> t) {
-    return opv::arg(*d, t);
-  }
-  template <class T, AccessMode A>
-  auto arg_gbl(T* p, int dim, AccessTag<A> t) {
-    return opv::arg_gbl(p, dim, t);
-  }
-
-  template <class Kernel, class... Args>
-  void loop(Kernel k, const char* name, SetHandle set, Args... args) {
-    note_loops_ran();
-    par_loop(std::move(k), name, *set, cfg_, args...);
-  }
 
   /// Record that loops are about to execute outside the context's own
-  /// loop()/CtxLoop::run() paths — e.g. a LoopChain driving CtxLoop inner()
+  /// CtxLoop::run() path — e.g. a LoopChain driving CtxLoop inner()
   /// handles directly. Closes the renumbering window exactly like a tracked
   /// loop execution would (the chain pins tile plans against map contents),
   /// and materializes the layout policy so access paths never see a dat

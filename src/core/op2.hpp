@@ -1,10 +1,9 @@
 // Umbrella header for the opvec core: the complete OP2-style public API.
 //
 //   opv::Set / opv::Map / opv::Dat<T>        mesh abstraction
-//   opv::arg<A> / opv::arg_gbl<A>            typed argument descriptors
-//   opv::Access / opv::AccessMode            compile-time access tags
+//   opv::arg<A, Dim> / opv::arg_gbl<A>       typed argument descriptors
+//   opv::AccessMode (opv::READ, ...)         compile-time access modes
 //   opv::Loop                                reusable parallel-loop handle
-//   opv::par_loop                            one-shot loop execution
 //   opv::ExecConfig / opv::Backend           backend selection
 //   opv::Plan / opv::PlanCache               coloring plans (advanced use)
 //   opv::reorder                             context-level renumbering pass

@@ -8,8 +8,6 @@
 // gather/scatter below is an `if constexpr` and each per-component loop an
 // index-sequence expansion — per instantiation the compiler sees exactly
 // the branch-free straight-line code OP2's generator would have emitted.
-// Runtime-dim descriptors (the compatibility spelling) keep looped
-// gathers/scatters; bench/ablation_static_dim.cpp measures the gap.
 // The user kernel is a functor templated over its value type: instantiating
 // with T = double produces the scalar loops; with T = simd::Vec<double,W>
 // exactly the gather / vector-kernel / colored-scatter structure of Fig. 3b,
@@ -25,21 +23,16 @@
 //   Simt     OpenCL-on-CPU model: work-groups pulled from a dynamic queue,
 //            W-wide lock-step bundles, per-color masked increments (Fig. 3a)
 //
-// Two entry points:
-//
-//   opv::Loop handle — constructed once, run many times. Conflict analysis
-//   happens at construction, the coloring Plan and the stats slot are pinned
-//   on first use, so steady-state iteration does zero per-call setup.
-//
-//   opv::par_loop(kernel, name, set, cfg, args...) — the OP2-shaped free
-//   function, now a thin wrapper over a one-shot Loop.
+// The entry point is the opv::Loop handle — constructed once, run many
+// times. Conflict analysis happens at construction, the coloring Plan and
+// the stats slot are pinned on first use, so steady-state iteration does
+// zero per-call setup.
 #pragma once
 
 #include <omp.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -65,22 +58,15 @@ inline int resolve_threads(int requested) {
   return requested > 0 ? requested : omp_get_max_threads();
 }
 
-/// Per-component expansion. A compile-time Dim expands as an
-/// index-sequence fold — every f(c) is a distinct statement with a literal
-/// component index, so gathers/scatters fully unroll at instantiation time
-/// (the engine's analog of OP2's generator "substituting literal constants",
-/// paper section 5). Runtime-dim descriptors (Dim == kDynDim) keep a plain
-/// loop over the bound arity — the measured-slower compatibility path
-/// (bench/ablation_static_dim.cpp).
+/// Per-component expansion as an index-sequence fold: every f(c) is a
+/// distinct statement with a literal component index, so gathers/scatters
+/// fully unroll at instantiation time (the engine's analog of OP2's
+/// generator "substituting literal constants", paper section 5).
 template <int Dim, class F>
-inline void for_each_dim(int rdim, F&& f) {
-  if constexpr (Dim != kDynDim) {
-    [&]<int... Cs>(std::integer_sequence<int, Cs...>) {
-      (f(Cs), ...);
-    }(std::make_integer_sequence<int, Dim>{});
-  } else {
-    for (int c = 0; c < rdim; ++c) f(c);
-  }
+inline void for_each_dim(F&& f) {
+  [&]<int... Cs>(std::integer_sequence<int, Cs...>) {
+    (f(Cs), ...);
+  }(std::make_integer_sequence<int, Dim>{});
 }
 
 // ===== bound scalar arguments ==============================================
@@ -91,7 +77,6 @@ struct BoundDat {
   const idx_t* map = nullptr;
   int map_dim = 0;
   int map_idx = 0;
-  int dim = 0;  ///< == Dim when Dim != kDynDim (addressing then constant-folds)
   Layout layout = Layout::AoS;  ///< physical layout of the bound dat
   idx_t plane = 0;              ///< padded rows (SoA plane stride)
   idx_t stgt = 0;               ///< staged element target (non-AoS scalar path)
@@ -108,10 +93,10 @@ struct BoundGbl {
 template <class S, AccessMode A, int Dim, bool Ind>
 inline BoundDat<S, A, Dim, Ind> bind(const Arg<S, A, Dim, Ind>& a) {
   if constexpr (Ind) {
-    return {a.dat->data(), a.map->data(), a.map->dim(), a.map_idx, a.dat->dim(),
-            a.dat->layout(), a.dat->plane()};
+    return {a.dat->data(), a.map->data(), a.map->dim(), a.map_idx, a.dat->layout(),
+            a.dat->plane()};
   } else {
-    return {a.dat->data(), nullptr, 0, 0, a.dat->dim(), a.dat->layout(), a.dat->plane()};
+    return {a.dat->data(), nullptr, 0, 0, a.dat->layout(), a.dat->plane()};
   }
 }
 template <class S, AccessMode A>
@@ -153,8 +138,8 @@ inline void thread_merge_all(Tuple& t, std::index_sequence<Is...>) {
   (thread_merge(std::get<Is>(t)), ...);
 }
 
-/// Pointer handed to the scalar kernel for element e. With a compile-time
-/// Dim the element stride is a literal, so the multiply strength-reduces.
+/// Pointer handed to the scalar kernel for element e. The element stride is
+/// the literal Dim, so the multiply strength-reduces.
 /// Under a non-AoS layout the element's components are not contiguous, so
 /// the row is STAGED into the per-arg scratch (current values pre-loaded for
 /// every mode, so an INC/RW kernel sees the same load-add-store order the
@@ -162,7 +147,6 @@ inline void thread_merge_all(Tuple& t, std::index_sequence<Is...>) {
 /// writes it back after the kernel body.
 template <class S, AccessMode A, int Dim, bool Ind>
 inline S* kptr(BoundDat<S, A, Dim, Ind>& b, idx_t e) {
-  const int dim = Dim != kDynDim ? Dim : b.dim;
   idx_t tgt;
   if constexpr (Ind) {
     tgt = b.map[static_cast<std::size_t>(e) * b.map_dim + b.map_idx];
@@ -170,11 +154,10 @@ inline S* kptr(BoundDat<S, A, Dim, Ind>& b, idx_t e) {
     tgt = e;
   }
   if (b.layout == Layout::AoS) [[likely]]
-    return b.data + static_cast<std::size_t>(tgt) * dim;
+    return b.data + static_cast<std::size_t>(tgt) * Dim;
   b.stgt = tgt;
-  for_each_dim<Dim>(dim, [&](int c) {
-    b.scratch[c] = b.data[layout_offset(b.layout, tgt, c, dim, b.plane)];
-  });
+  for_each_dim<Dim>(
+      [&](int c) { b.scratch[c] = b.data[layout_offset(b.layout, tgt, c, Dim, b.plane)]; });
   return b.scratch;
 }
 template <class S, AccessMode A>
@@ -190,10 +173,8 @@ inline void kflush(BoundDat<S, A, Dim, Ind>& b) {
   if constexpr (A == AccessMode::READ) return;
   if (b.layout == Layout::AoS) [[likely]]
     return;
-  const int dim = Dim != kDynDim ? Dim : b.dim;
-  for_each_dim<Dim>(dim, [&](int c) {
-    b.data[layout_offset(b.layout, b.stgt, c, dim, b.plane)] = b.scratch[c];
-  });
+  for_each_dim<Dim>(
+      [&](int c) { b.data[layout_offset(b.layout, b.stgt, c, Dim, b.plane)] = b.scratch[c]; });
 }
 template <class S, AccessMode A>
 inline void kflush(BoundGbl<S, A>&) {}
@@ -269,7 +250,6 @@ struct VDat {
   const idx_t* map = nullptr;
   int map_dim = 0;
   int map_idx = 0;
-  int dim = 0;  ///< == Dim when Dim != kDynDim
   Layout layout = Layout::AoS;
   idx_t plane = 0;  ///< SoA component-plane stride (padded rows)
   V buf[kMaxDim];
@@ -289,16 +269,15 @@ struct VDat {
   /// Layout-scaled element index: comp(c)[lidx(e)] addresses element e's
   /// component c for every layout. AoS scales by dim, SoA is unit-stride,
   /// AoSoA adds a per-16-block skip over the other components' panels.
-  /// The lane strides are compile-time literals for static-Dim descriptors.
+  /// The lane strides are compile-time literals.
   IV lidx(IV tgt) const {
-    const int d = Dim != kDynDim ? Dim : dim;
     switch (layout) {
-      case Layout::AoS: return tgt * IV(d);
+      case Layout::AoS: return tgt * IV(Dim);
       case Layout::SoA: return tgt;
       case Layout::AoSoA:
-        return tgt + (tgt >> kAoSoAShift) * IV(static_cast<std::int32_t>(kAoSoALanes) * (d - 1));
+        return tgt + (tgt >> kAoSoAShift) * IV(static_cast<std::int32_t>(kAoSoALanes) * (Dim - 1));
     }
-    return tgt * IV(d);
+    return tgt * IV(Dim);
   }
 };
 
@@ -319,7 +298,6 @@ inline VDat<S, W, A, Dim, Ind> vbind(const Arg<S, A, Dim, Ind>& a) {
     v.map_dim = a.map->dim();
     v.map_idx = a.map_idx;
   }
-  v.dim = a.dat->dim();
   v.layout = a.dat->layout();
   v.plane = a.dat->plane();
   return v;
@@ -384,9 +362,8 @@ inline simd::Vec<S, W>* vkptr(VGbl<S, W, A>& a) {
 
 // ---- gather phase (Fig. 3b "gather data to registers") ---------------------
 // Every access-mode decision below is `if constexpr`, and every
-// per-component loop goes through for_each_dim<Dim>: descriptors with a
-// compile-time Dim get fully unrolled straight-line gathers/scatters with
-// literal strides; runtime-dim descriptors keep a looped compatibility path.
+// per-component loop goes through for_each_dim<Dim>: fully unrolled
+// straight-line gathers/scatters with literal strides.
 
 /// Load a contiguous chunk of W elements starting at n.
 template <class S, int W, AccessMode A, int Dim, bool Ind>
@@ -398,37 +375,35 @@ inline void vload(VDat<S, W, A, Dim, Ind>& a, idx_t n) {
                                a.map_dim);
     a.sidx = a.lidx(tgt);
     if constexpr (A == AccessMode::READ || A == AccessMode::RW) {
-      for_each_dim<Dim>(a.dim, [&](int c) { a.buf[c] = V::gather(a.comp(c), a.sidx); });
+      for_each_dim<Dim>([&](int c) { a.buf[c] = V::gather(a.comp(c), a.sidx); });
     } else {  // INC (indirect WRITE is also accumulated then scattered)
-      for_each_dim<Dim>(a.dim, [&](int c) { a.buf[c] = V(S(0)); });
+      for_each_dim<Dim>([&](int c) { a.buf[c] = V(S(0)); });
     }
   } else {
     if constexpr (A == AccessMode::INC) {
-      for_each_dim<Dim>(a.dim, [&](int c) { a.buf[c] = V(S(0)); });
+      for_each_dim<Dim>([&](int c) { a.buf[c] = V(S(0)); });
     } else if constexpr (A != AccessMode::WRITE) {
-      // d is a literal for static Dim, so the dim==1 test folds away.
-      const int d = Dim != kDynDim ? Dim : a.dim;
-      if (d == 1) {
+      if constexpr (Dim == 1) {
         a.buf[0] = V::loadu(a.data + n);
       } else if (a.layout == Layout::SoA) {
         // The SoA payoff: what AoS serves with W strided touches per
         // component is one unit-stride plane load here.
-        for_each_dim<Dim>(d, [&](int c) {
+        for_each_dim<Dim>([&](int c) {
           a.buf[c] = V::loadu(a.data + static_cast<std::size_t>(a.plane) * c + n);
         });
       } else if (a.layout == Layout::AoSoA) {
         if ((n & (kAoSoALanes - 1)) + W <= kAoSoALanes) {
           // Chunk lies inside one 16-lane panel: unit-stride per component.
-          for_each_dim<Dim>(d, [&](int c) {
-            a.buf[c] = V::loadu(a.data + layout_offset(Layout::AoSoA, n, c, d, a.plane));
+          for_each_dim<Dim>([&](int c) {
+            a.buf[c] = V::loadu(a.data + layout_offset(Layout::AoSoA, n, c, Dim, a.plane));
           });
         } else {
           const IV li = a.lidx(IV::iota(static_cast<std::int32_t>(n)));
-          for_each_dim<Dim>(d, [&](int c) { a.buf[c] = V::gather(a.comp(c), li); });
+          for_each_dim<Dim>([&](int c) { a.buf[c] = V::gather(a.comp(c), li); });
         }
       } else {
-        for_each_dim<Dim>(d, [&](int c) {
-          a.buf[c] = V::strided(a.data + static_cast<std::size_t>(n) * d + c, d);
+        for_each_dim<Dim>([&](int c) {
+          a.buf[c] = V::strided(a.data + static_cast<std::size_t>(n) * Dim + c, Dim);
         });
       }
     }
@@ -446,18 +421,18 @@ inline void vload_perm(VDat<S, W, A, Dim, Ind>& a, simd::Vec<std::int32_t, W> ei
     const IV tgt = IV::gather(a.map + a.map_idx, eidx * IV(a.map_dim));
     a.sidx = a.lidx(tgt);
     if constexpr (A == AccessMode::READ || A == AccessMode::RW) {
-      for_each_dim<Dim>(a.dim, [&](int c) { a.buf[c] = V::gather(a.comp(c), a.sidx); });
+      for_each_dim<Dim>([&](int c) { a.buf[c] = V::gather(a.comp(c), a.sidx); });
     } else {
-      for_each_dim<Dim>(a.dim, [&](int c) { a.buf[c] = V(S(0)); });
+      for_each_dim<Dim>([&](int c) { a.buf[c] = V(S(0)); });
     }
   } else {
     a.sidx = a.lidx(eidx);
     if constexpr (A == AccessMode::INC) {
-      for_each_dim<Dim>(a.dim, [&](int c) { a.buf[c] = V(S(0)); });
+      for_each_dim<Dim>([&](int c) { a.buf[c] = V(S(0)); });
     } else if constexpr (A != AccessMode::WRITE) {
       // Formerly-direct data must now be gathered (paper section 4: the
       // cost the permute colorings add).
-      for_each_dim<Dim>(a.dim, [&](int c) { a.buf[c] = V::gather(a.comp(c), a.sidx); });
+      for_each_dim<Dim>([&](int c) { a.buf[c] = V::gather(a.comp(c), a.sidx); });
     }
   }
 }
@@ -474,64 +449,59 @@ inline void vflush(VDat<S, W, A, Dim, Ind>& a, idx_t n, bool hw_scatter) {
   using IV = simd::Vec<std::int32_t, W>;
   if constexpr (Ind) {
     if constexpr (A == AccessMode::INC) {
-      for_each_dim<Dim>(a.dim, [&](int c) {
+      for_each_dim<Dim>([&](int c) {
         if (hw_scatter) simd::scatter_add_hw(a.comp(c), a.sidx, a.buf[c]);
         else simd::scatter_add_serial(a.comp(c), a.sidx, a.buf[c]);
       });
     } else if constexpr (A == AccessMode::WRITE || A == AccessMode::RW) {
-      for_each_dim<Dim>(a.dim,
-                        [&](int c) { simd::scatter_serial(a.comp(c), a.sidx, a.buf[c]); });
+      for_each_dim<Dim>([&](int c) { simd::scatter_serial(a.comp(c), a.sidx, a.buf[c]); });
     }
   } else {
-    // d is a literal for static Dim, so the dim==1 tests fold away
-    // (unused when a direct READ argument needs no flush at all).
-    [[maybe_unused]] const int d = Dim != kDynDim ? Dim : a.dim;
     if constexpr (A == AccessMode::WRITE || A == AccessMode::RW) {
-      if (d == 1) {
+      if constexpr (Dim == 1) {
         simd::storeu(a.data + n, a.buf[0]);
       } else if (a.layout == Layout::SoA) {
-        for_each_dim<Dim>(d, [&](int c) {
+        for_each_dim<Dim>([&](int c) {
           simd::storeu(a.data + static_cast<std::size_t>(a.plane) * c + n, a.buf[c]);
         });
       } else if (a.layout == Layout::AoSoA) {
         if ((n & (kAoSoALanes - 1)) + W <= kAoSoALanes) {
-          for_each_dim<Dim>(d, [&](int c) {
-            simd::storeu(a.data + layout_offset(Layout::AoSoA, n, c, d, a.plane), a.buf[c]);
+          for_each_dim<Dim>([&](int c) {
+            simd::storeu(a.data + layout_offset(Layout::AoSoA, n, c, Dim, a.plane), a.buf[c]);
           });
         } else {
           const IV li = a.lidx(IV::iota(static_cast<std::int32_t>(n)));
-          for_each_dim<Dim>(d, [&](int c) { simd::scatter_serial(a.comp(c), li, a.buf[c]); });
+          for_each_dim<Dim>([&](int c) { simd::scatter_serial(a.comp(c), li, a.buf[c]); });
         }
       } else {
-        for_each_dim<Dim>(d, [&](int c) {
-          simd::store_strided(a.data + static_cast<std::size_t>(n) * d + c, d, a.buf[c]);
+        for_each_dim<Dim>([&](int c) {
+          simd::store_strided(a.data + static_cast<std::size_t>(n) * Dim + c, Dim, a.buf[c]);
         });
       }
     } else if constexpr (A == AccessMode::INC) {
-      if (d == 1) {
+      if constexpr (Dim == 1) {
         const V cur = V::loadu(a.data + n);
         simd::storeu(a.data + n, cur + a.buf[0]);
       } else if (a.layout == Layout::SoA) {
-        for_each_dim<Dim>(d, [&](int c) {
+        for_each_dim<Dim>([&](int c) {
           S* p = a.data + static_cast<std::size_t>(a.plane) * c + n;
           simd::storeu(p, V::loadu(p) + a.buf[c]);
         });
       } else if (a.layout == Layout::AoSoA) {
         if ((n & (kAoSoALanes - 1)) + W <= kAoSoALanes) {
-          for_each_dim<Dim>(d, [&](int c) {
-            S* p = a.data + layout_offset(Layout::AoSoA, n, c, d, a.plane);
+          for_each_dim<Dim>([&](int c) {
+            S* p = a.data + layout_offset(Layout::AoSoA, n, c, Dim, a.plane);
             simd::storeu(p, V::loadu(p) + a.buf[c]);
           });
         } else {
           const IV li = a.lidx(IV::iota(static_cast<std::int32_t>(n)));
-          for_each_dim<Dim>(d,
-                            [&](int c) { simd::scatter_add_serial(a.comp(c), li, a.buf[c]); });
+          for_each_dim<Dim>([&](int c) { simd::scatter_add_serial(a.comp(c), li, a.buf[c]); });
         }
       } else {
-        for_each_dim<Dim>(d, [&](int c) {
-          S* p = a.data + static_cast<std::size_t>(n) * d + c;
-          const V cur = V::strided(p, d);
-          simd::store_strided(p, d, cur + a.buf[c]);
+        for_each_dim<Dim>([&](int c) {
+          S* p = a.data + static_cast<std::size_t>(n) * Dim + c;
+          const V cur = V::strided(p, Dim);
+          simd::store_strided(p, Dim, cur + a.buf[c]);
         });
       }
     }
@@ -546,21 +516,18 @@ template <class S, int W, AccessMode A, int Dim, bool Ind>
 inline void vflush_perm(VDat<S, W, A, Dim, Ind>& a, bool hw_scatter) {
   if constexpr (Ind) {
     if constexpr (A == AccessMode::INC) {
-      for_each_dim<Dim>(a.dim, [&](int c) {
+      for_each_dim<Dim>([&](int c) {
         if (hw_scatter) simd::scatter_add_hw(a.comp(c), a.sidx, a.buf[c]);
         else simd::scatter_add_serial(a.comp(c), a.sidx, a.buf[c]);
       });
     } else if constexpr (A == AccessMode::WRITE || A == AccessMode::RW) {
-      for_each_dim<Dim>(a.dim,
-                        [&](int c) { simd::scatter_serial(a.comp(c), a.sidx, a.buf[c]); });
+      for_each_dim<Dim>([&](int c) { simd::scatter_serial(a.comp(c), a.sidx, a.buf[c]); });
     }
   } else {
     if constexpr (A == AccessMode::WRITE || A == AccessMode::RW) {
-      for_each_dim<Dim>(a.dim,
-                        [&](int c) { simd::scatter_serial(a.comp(c), a.sidx, a.buf[c]); });
+      for_each_dim<Dim>([&](int c) { simd::scatter_serial(a.comp(c), a.sidx, a.buf[c]); });
     } else if constexpr (A == AccessMode::INC) {
-      for_each_dim<Dim>(a.dim,
-                        [&](int c) { simd::scatter_add_serial(a.comp(c), a.sidx, a.buf[c]); });
+      for_each_dim<Dim>([&](int c) { simd::scatter_add_serial(a.comp(c), a.sidx, a.buf[c]); });
     }
   }
 }
@@ -581,7 +548,7 @@ inline void vflush_simt(VDat<S, W, A, Dim, Ind>& a, idx_t n, const std::int32_t*
       const auto imask = (cv == IV(col));
       const auto vmask = simd::MaskConvert<V>::from(imask);
       if (!simd::any(imask)) continue;
-      for_each_dim<Dim>(a.dim, [&](int c) {
+      for_each_dim<Dim>([&](int c) {
         simd::scatter_add_serial_masked(a.comp(c), a.sidx, a.buf[c], vmask);
       });
     }
@@ -1047,161 +1014,6 @@ void exec_simt(Kernel& k, const STuple& sproto, const VTuple& vproto, const Plan
   }
 }
 
-// ---- Simt shared-scratch staging (ExecConfig::simt_staging) ----------------
-
-/// Collect the runtime stage-slot residue of one typed argument (input to
-/// build_simt_stage_plan).
-template <class S, AccessMode A, int Dim, bool Ind>
-inline StageSlotInfo stage_slot_of(const Arg<S, A, Dim, Ind>& a) {
-  StageSlotInfo si;
-  si.base = reinterpret_cast<std::byte*>(a.dat->data());
-  si.value_bytes = sizeof(S);
-  si.dim = a.dat->dim();
-  si.layout = a.dat->layout();
-  si.plane = a.dat->plane();
-  si.indirect = Ind;
-  si.writes = A != AccessMode::READ;
-  if constexpr (Ind) {
-    si.map = a.map->data();
-    si.map_dim = a.map->dim();
-    si.map_idx = a.map_idx;
-  }
-  return si;
-}
-template <class S, AccessMode A>
-inline StageSlotInfo stage_slot_of(const ArgGbl<S, A>&) {
-  return {};
-}
-
-/// Redirect a staged slot's bound state at the block-shared scratch: AoS
-/// rows indexed by the slot's flat local map (map_dim 1). The unmodified
-/// gather/scatter machinery then runs against scratch.
-template <class S, AccessMode A, int Dim, bool Ind>
-inline void stage_patch(BoundDat<S, A, Dim, Ind>& b, const SimtStagePlan& sp, int slot,
-                        std::byte* const* scratch) {
-  if constexpr (Ind) {
-    const int r = sp.slot_region[static_cast<std::size_t>(slot)];
-    if (r < 0) return;
-    b.data = reinterpret_cast<S*>(scratch[r]);
-    b.map = sp.slot_lmap[static_cast<std::size_t>(slot)].data();
-    b.map_dim = 1;
-    b.map_idx = 0;
-    b.layout = Layout::AoS;
-    b.plane = 0;
-  }
-}
-template <class S, int W, AccessMode A, int Dim, bool Ind>
-inline void stage_patch(VDat<S, W, A, Dim, Ind>& a, const SimtStagePlan& sp, int slot,
-                        std::byte* const* scratch) {
-  if constexpr (Ind) {
-    const int r = sp.slot_region[static_cast<std::size_t>(slot)];
-    if (r < 0) return;
-    a.data = reinterpret_cast<S*>(scratch[r]);
-    a.map = sp.slot_lmap[static_cast<std::size_t>(slot)].data();
-    a.map_dim = 1;
-    a.map_idx = 0;
-    a.layout = Layout::AoS;
-    a.plane = 0;
-  }
-}
-template <class S, AccessMode A>
-inline void stage_patch(BoundGbl<S, A>&, const SimtStagePlan&, int, std::byte* const*) {}
-template <class S, int W, AccessMode A>
-inline void stage_patch(VGbl<S, W, A>&, const SimtStagePlan&, int, std::byte* const*) {}
-
-template <class Tuple, std::size_t... Is>
-inline void stage_patch_all(Tuple& t, const SimtStagePlan& sp, std::byte* const* scratch,
-                            std::index_sequence<Is...>) {
-  (stage_patch(std::get<Is>(t), sp, static_cast<int>(Is), scratch), ...);
-}
-
-/// Fill scratch with block b's rows of the region's dat (layout-aware).
-inline void stage_preload(const SimtStagePlan::Region& rg, idx_t b, std::byte* scratch) {
-  const std::size_t vb = rg.value_bytes;
-  for (idx_t i = rg.row_off[static_cast<std::size_t>(b)];
-       i < rg.row_off[static_cast<std::size_t>(b) + 1]; ++i) {
-    const idx_t g = rg.rows[static_cast<std::size_t>(i)];
-    const idx_t l = i - rg.row_off[static_cast<std::size_t>(b)];
-    for (int c = 0; c < rg.dim; ++c)
-      std::memcpy(scratch + (static_cast<std::size_t>(l) * rg.dim + c) * vb,
-                  rg.base + layout_offset(rg.layout, g, c, rg.dim, rg.plane) * vb, vb);
-  }
-}
-
-/// Copy scratch back to the region's dat after the block finished. Legal
-/// because block colors separate blocks sharing written targets, so no other
-/// concurrently-running block touches these rows.
-inline void stage_writeback(const SimtStagePlan::Region& rg, idx_t b, const std::byte* scratch) {
-  const std::size_t vb = rg.value_bytes;
-  for (idx_t i = rg.row_off[static_cast<std::size_t>(b)];
-       i < rg.row_off[static_cast<std::size_t>(b) + 1]; ++i) {
-    const idx_t g = rg.rows[static_cast<std::size_t>(i)];
-    const idx_t l = i - rg.row_off[static_cast<std::size_t>(b)];
-    for (int c = 0; c < rg.dim; ++c)
-      std::memcpy(rg.base + layout_offset(rg.layout, g, c, rg.dim, rg.plane) * vb,
-                  scratch + (static_cast<std::size_t>(l) * rg.dim + c) * vb, vb);
-  }
-}
-
-/// exec_simt with per-block shared-scratch staging (Fig. 3a's shared-memory
-/// arrays): gathered indirect dats are preloaded into a block-local copy,
-/// the unmodified bundle machinery runs against it through patched slots,
-/// and writing regions are flushed back when the block completes.
-template <int W, class Kernel, class STuple, class VTuple>
-void exec_simt_staged(Kernel& k, const STuple& sproto, const VTuple& vproto, const Plan& plan,
-                      const SimtStagePlan& stage, int nthreads) {
-  constexpr auto seq = std::make_index_sequence<std::tuple_size_v<STuple>>{};
-  std::vector<std::atomic<idx_t>> counters(std::max(plan.nblock_colors, 1));
-  for (auto& c : counters) c.store(0, std::memory_order_relaxed);
-#pragma omp parallel num_threads(nthreads)
-  {
-    STuple st = sproto;
-    VTuple vt = vproto;
-    // One scratch buffer per region, sized for the widest block and reused
-    // across blocks; the slot patch therefore happens once per thread.
-    std::vector<aligned_vector<std::byte>> scratch(stage.regions.size());
-    std::vector<std::byte*> sptr(stage.regions.size());
-    for (std::size_t r = 0; r < stage.regions.size(); ++r) {
-      const auto& rg = stage.regions[r];
-      scratch[r].resize(static_cast<std::size_t>(rg.max_rows) * rg.dim * rg.value_bytes);
-      sptr[r] = scratch[r].data();
-    }
-    stage_patch_all(st, stage, sptr.data(), seq);
-    stage_patch_all(vt, stage, sptr.data(), seq);
-    thread_init_all(st, seq);
-    vthread_init_all(vt, seq);
-    for (int col = 0; col < plan.nblock_colors; ++col) {
-      const auto& blocks = plan.color_blocks[col];
-      const idx_t nb = static_cast<idx_t>(blocks.size());
-      std::atomic<idx_t>& ctr = counters[col];
-      for (;;) {
-        const idx_t bi = ctr.fetch_add(1, std::memory_order_relaxed);
-        if (bi >= nb) break;
-        const idx_t b = blocks[bi];
-        for (std::size_t r = 0; r < stage.regions.size(); ++r)
-          stage_preload(stage.regions[r], b, sptr[r]);
-        const idx_t bb = plan.block_begin(b), be = plan.block_end(b);
-        const int ncolors = plan.block_nelem_colors.empty() ? 1 : plan.block_nelem_colors[b];
-        idx_t i = bb;
-        for (; i + W <= be; i += W) {
-          vload_all(vt, i, seq);
-          vcall(k, vt, seq);
-          vflush_simt_all(vt, i, plan.elem_color.data(), ncolors, seq);
-        }
-        run_range(k, st, i, be, seq);
-        for (std::size_t r = 0; r < stage.regions.size(); ++r)
-          if (stage.regions[r].writeback) stage_writeback(stage.regions[r], b, sptr[r]);
-      }
-#pragma omp barrier
-    }
-#pragma omp critical(opv_reduction)
-    {
-      vthread_merge_all(vt, seq);
-      thread_merge_all(st, seq);
-    }
-  }
-}
-
 }  // namespace detail
 
 // ===== the reusable Loop handle ==============================================
@@ -1222,11 +1034,6 @@ class Loop {
  public:
   static constexpr bool has_inc = has_conflicts_v<Args...>;
   static constexpr bool has_gbl_reduction = has_gbl_reduction_v<Args...>;
-  /// True when every dataset argument carries a compile-time Dim — the
-  /// fully-specialized state where no gather/scatter loops over a runtime
-  /// arity (assert it on hot loops to guard against a spelling regressing
-  /// to the runtime-dim compatibility path).
-  static constexpr bool all_static_dim = all_static_dim_v<Args...>;
 
   Loop(Kernel kernel, std::string name, const Set& set, Args... args)
       : kernel_(std::move(kernel)), name_(std::move(name)), set_(&set), args_(args...) {
@@ -1295,7 +1102,7 @@ class Loop {
       tuner_->observe(bs, secs);
     if (cfg.collect_stats) {
       // Slot bound on first recording run: loops that never collect stats
-      // (one-shot wrappers with collect_stats=false, per-rank loops inside
+      // (handles run with collect_stats=false, per-rank loops inside
       // DistCtx) never touch the registry at all. Layouts are frozen before
       // any loop executes, so the layout tag is stamped once at bind.
       if (!stats_) {
@@ -1560,22 +1367,6 @@ class Loop {
     return *s.plan;
   }
 
-  /// Memoized Simt staging schedule, pinned per coloring plan (a block-size
-  /// change yields a new plan and hence a rebuild). Counted as plan time.
-  const SimtStagePlan& stage_plan_for(const Plan& plan) {
-    if (stage_plan_built_for_ != &plan) {
-      WallTimer t;
-      std::vector<StageSlotInfo> slots;
-      slots.reserve(sizeof...(Args));
-      std::apply([&](const auto&... a) { (slots.push_back(detail::stage_slot_of(a)), ...); },
-                 args_);
-      stage_ = build_simt_stage_plan(slots, plan);
-      plan_build_secs_ += t.seconds();
-      stage_plan_built_for_ = &plan;
-    }
-    return stage_;
-  }
-
   /// Subset plan for a Slice, built once and pinned (slices are per-handle
   /// state, so they bypass the process-wide PlanCache). Subsets have no
   /// contiguous blocks, so TwoLevel/Simt requests resolve to BlockPermute —
@@ -1665,15 +1456,7 @@ class Loop {
           [](const auto&... a) { return std::make_tuple(detail::vbind<W>(a)...); }, args_);
       const auto strat = strategy_for(cfg);
       if (cfg.backend == Backend::Simt) {
-        const Plan& plan = plan_for(*strat, block_size, nth);
-        if (cfg.simt_staging) {
-          const SimtStagePlan& sp = stage_plan_for(plan);
-          if (sp.viable) {
-            detail::exec_simt_staged<W>(kernel_, sproto, vproto, plan, sp, nth);
-            return;
-          }
-        }
-        detail::exec_simt<W>(kernel_, sproto, vproto, plan, nth);
+        detail::exec_simt<W>(kernel_, sproto, vproto, plan_for(*strat, block_size, nth), nth);
         return;
       }
       if (!strat) {
@@ -1716,41 +1499,18 @@ class Loop {
   std::vector<IncRef> conflicts_;
   LoopRecord* stats_ = nullptr;
   PlanSlot plans_[3];
-  SimtStagePlan stage_;                          ///< Simt staging schedule
-  const Plan* stage_plan_built_for_ = nullptr;   ///< plan stage_ was built for
   double plan_build_secs_ = 0.0;     ///< cumulative plan acquisition time
   double plan_secs_reported_ = 0.0;  ///< share already flushed to stats_
   /// Allocated on the first kAuto run. The tuned block size is pinned per
   /// Loop INSTANCE, never shared through any global registry: re-templating
-  /// a loop (e.g. migrating its args from runtime-dim to compile-time-Dim
-  /// descriptors changes the Loop type and the generated code) yields a
-  /// fresh handle that re-tunes from scratch rather than inheriting a pin
-  /// measured on different code (test: RetypedHandleReTunes).
+  /// a loop (e.g. changing an argument's access mode or Dim changes the Loop
+  /// type and the generated code) yields a fresh handle that re-tunes from
+  /// scratch rather than inheriting a pin measured on different code (test:
+  /// RetypedHandleReTunes).
   std::unique_ptr<perf::OnlineTuner> tuner_;
 };
 
 template <class Kernel, class... Args>
 Loop(Kernel, std::string, const Set&, Args...) -> Loop<Kernel, Args...>;
-
-// ===== the OP2-shaped free function ==========================================
-
-/// Execute `kernel` for every element of `set`, with the given typed
-/// argument descriptors, under the given execution configuration.
-///
-/// Mirrors op_par_loop(kernel, "name", set, op_arg_dat(...), ...). This is a
-/// compatibility wrapper over a one-shot Loop; steady-state iteration should
-/// construct the Loop once and call run() repeatedly.
-template <class Kernel, class... Args>
-void par_loop(Kernel kernel, const char* name, const Set& set, const ExecConfig& cfg,
-              Args... args) {
-  Loop<Kernel, Args...> loop(std::move(kernel), name, set, args...);
-  loop.run(cfg);
-}
-
-/// par_loop using the process-wide default configuration.
-template <class Kernel, class... Args>
-void par_loop(Kernel kernel, const char* name, const Set& set, Args... args) {
-  par_loop(std::move(kernel), name, set, default_config(), args...);
-}
 
 }  // namespace opv

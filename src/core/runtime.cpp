@@ -110,10 +110,6 @@ void StatsRegistry::record_plan(LoopRecord& slot, double seconds) {
   slot.plan_seconds += seconds;
 }
 
-void StatsRegistry::record(const std::string& loop, double seconds, std::int64_t elements) {
-  record(slot(loop), seconds, elements);
-}
-
 LoopRecord StatsRegistry::get(const std::string& loop) const {
   std::lock_guard<std::mutex> lock(impl_->mu);
   const auto it = impl_->records.find(loop);

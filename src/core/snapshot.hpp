@@ -156,7 +156,8 @@ inline constexpr std::size_t kDatSectionHeaderBytes = 16;
 /// the fault-injection tests use. Returns false when no such section exists;
 /// throws opv::Error for a non-floating value width or out-of-range index.
 inline bool poison_dat_section(Checkpoint& c, std::string_view dat, std::size_t index) {
-  const std::string suffix = "/" + std::string(dat);
+  std::string suffix(1, '/');
+  suffix.append(dat);
   for (auto& s : c.sections) {
     if (s.name.size() < suffix.size() ||
         s.name.compare(s.name.size() - suffix.size(), suffix.size(), suffix) != 0)

@@ -2,16 +2,15 @@
 // single-process rank simulator).
 //
 // Application drivers written against the Context concept (decl_set /
-// decl_map / decl_dat / arg / loop / fetch) run unchanged: DistCtx
+// decl_map / decl_dat / arg / make_loop / fetch) run unchanged: DistCtx
 // partitions the primary set geometrically at finalize(), derives ownership
 // of every other set through the maps, builds owned/exec/non-exec halo
 // layouts (halo.hpp), and replicates each dataset per rank.
 //
 // Execution goes through dist::Loop handles (dist/loop.hpp): a Loop pins the
 // halo-exchange plan, the per-rank argument bindings and one opv::Loop per
-// rank at construction, so steady-state run() does zero setup. The context's
-// loop(...) member is a one-shot wrapper over a throwaway Loop — exactly the
-// relationship opv::par_loop has to opv::Loop. The execution model:
+// rank at construction, so steady-state run() does zero setup. The execution
+// model:
 //   * owner-compute redundant execution: loops with indirect increments
 //     execute the import halo so owned data gets every contribution locally;
 //   * dirty-bit lazy halo exchange: a dataset's halo copies are refreshed
@@ -51,7 +50,7 @@ using opv::WorkerPool;
 
 /// Dataset argument by handle: resolved to a typed opv::Arg on each rank's
 /// replica when a dist::Loop is constructed. Access/arity/directness are
-/// compile-time, like opv::Arg (Dim == opv::kDynDim = runtime arity).
+/// compile-time, like opv::Arg.
 template <class T, AccessMode A, int Dim, bool Ind>
 struct DistArgDat {
   using scalar_type = T;
@@ -269,7 +268,7 @@ class DistCtx {
 
   // ---- typed argument builders --------------------------------------------
 
-  template <AccessMode A, int Dim = kDynDim, class T>
+  template <AccessMode A, int Dim, class T>
     requires(dat_access_ok(A) && arg_dim_ok(Dim))
   DistArgDat<T, A, Dim, true> arg(DatHandle<T> d, int idx, MapHandle m) {
     OPV_REQUIRE(idx >= 0 && idx < spec_.maps[m].dim,
@@ -281,7 +280,7 @@ class DistCtx {
     check_dim<Dim>(d);
     return {d.id, m, idx};
   }
-  template <AccessMode A, int Dim = kDynDim, class T>
+  template <AccessMode A, int Dim, class T>
     requires(dat_access_ok(A) && arg_dim_ok(Dim))
   DistArgDat<T, A, Dim, false> arg(DatHandle<T> d) {
     check_dim<Dim>(d);
@@ -295,50 +294,21 @@ class DistCtx {
     return {p, dim};
   }
 
-  template <class T, AccessMode A>
-  auto arg(DatHandle<T> d, int idx, MapHandle m, AccessTag<A>) {
-    return arg<A>(d, idx, m);
-  }
-  template <class T, AccessMode A>
-  auto arg(DatHandle<T> d, AccessTag<A>) {
-    return arg<A>(d);
-  }
-  template <class T, AccessMode A>
-  auto arg_gbl(T* p, int dim, AccessTag<A>) {
-    return arg_gbl<A>(p, dim);
-  }
-
-  // FixedDat handles: the handle's compile-time arity N resolves the
-  // descriptor Dim (an explicit Dim must agree — the static counterpart of
+  // FixedDat handles: the handle's compile-time arity N is the descriptor
+  // Dim (an explicit Dim must agree — the static counterpart of
   // check_dim), so loop sites spell no Dim at all.
-  template <AccessMode A, int Dim = kDynDim, class T, int N>
-    requires(dat_access_ok(A) && arg_dim_ok(Dim) && (Dim == kDynDim || Dim == N))
-  DistArgDat<T, A, (Dim == kDynDim ? N : Dim), true> arg(FixedDatHandleT<T, N> d, int idx,
-                                                         MapHandle m) {
-    return arg<A, (Dim == kDynDim ? N : Dim)>(DatHandle<T>{d.id}, idx, m);
+  template <AccessMode A, int... Dim, class T, int N>
+    requires(dat_access_ok(A) && sizeof...(Dim) <= 1 && ((Dim == N) && ...))
+  DistArgDat<T, A, N, true> arg(FixedDatHandleT<T, N> d, int idx, MapHandle m) {
+    return arg<A, N>(DatHandle<T>{d.id}, idx, m);
   }
-  template <AccessMode A, int Dim = kDynDim, class T, int N>
-    requires(dat_access_ok(A) && arg_dim_ok(Dim) && (Dim == kDynDim || Dim == N))
-  DistArgDat<T, A, (Dim == kDynDim ? N : Dim), false> arg(FixedDatHandleT<T, N> d) {
-    return arg<A, (Dim == kDynDim ? N : Dim)>(DatHandle<T>{d.id});
-  }
-  template <class T, int N, AccessMode A>
-  auto arg(FixedDatHandleT<T, N> d, int idx, MapHandle m, AccessTag<A>) {
-    return arg<A, N>(d, idx, m);
-  }
-  template <class T, int N, AccessMode A>
-  auto arg(FixedDatHandleT<T, N> d, AccessTag<A>) {
-    return arg<A, N>(d);
+  template <AccessMode A, int... Dim, class T, int N>
+    requires(dat_access_ok(A) && sizeof...(Dim) <= 1 && ((Dim == N) && ...))
+  DistArgDat<T, A, N, false> arg(FixedDatHandleT<T, N> d) {
+    return arg<A, N>(DatHandle<T>{d.id});
   }
 
   // ---- execution -----------------------------------------------------------
-
-  /// One-shot execution: construct a dist::Loop, run it once, discard it.
-  /// Steady-state callers (timestep-driven applications) should construct
-  /// the Loop themselves and run() it repeatedly (dist/loop.hpp). Defined in
-  /// loop.hpp.
-  template <class Kernel, class... DArgs>
-  void loop(Kernel kernel, const char* name, SetHandle set, DArgs... dargs);
 
   /// Build a persistent dist::Loop handle (the Context-concept spelling
   /// shared with LocalCtx::make_loop, so drivers templated over the context
@@ -379,14 +349,13 @@ class DistCtx {
   template <class Kernel, class... DArgs>
   friend class Loop;
 
-  /// Construction-time check that a compile-time descriptor Dim matches the
-  /// declared dat (the dist analog of opv::arg's check against dat.dim()).
+  /// Construction-time check that the descriptor Dim matches the declared
+  /// dat (the dist analog of opv::arg's check against dat.dim()).
   template <int Dim, class T>
   void check_dim(DatHandle<T> d) const {
-    if constexpr (Dim != kDynDim)
-      OPV_REQUIRE(dats_[d.id]->dim == Dim, "arg: descriptor Dim "
-                                               << Dim << " != dat '" << dats_[d.id]->name
-                                               << "' dim " << dats_[d.id]->dim);
+    OPV_REQUIRE(dats_[d.id]->dim == Dim, "arg: descriptor Dim " << Dim << " != dat '"
+                                                                << dats_[d.id]->name << "' dim "
+                                                                << dats_[d.id]->dim);
   }
 
   // ---- dataset storage -----------------------------------------------------

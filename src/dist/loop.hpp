@@ -2,10 +2,8 @@
 // opv::Loop (core/par_loop.hpp).
 //
 // The paper's execution model builds per-loop plans once and amortizes them
-// over thousands of timesteps (PPoPP'14 section 3); DistCtx::loop used to
-// re-derive the stale-dataset set, re-prep per-rank argument bindings and
-// re-resolve per-rank plans on every call. A dist::Loop pins all of it at
-// construction:
+// over thousands of timesteps (PPoPP'14 section 3). A dist::Loop pins every
+// per-loop derivation at construction:
 //   * argument validation against the iteration set (direct dats must live
 //     on it, indirect maps must be FROM it);
 //   * the ExchangePlan: which dats the loop reads stale (refreshed through
@@ -228,7 +226,7 @@ class Loop {
   }
 
   /// Execute under the context's CURRENT configuration (mutations through
-  /// DistCtx::config() take effect, as they always did for DistCtx::loop).
+  /// DistCtx::config() take effect on the next run).
   void run() { run(ctx_->cfg_); }
 
   [[nodiscard]] const std::string& name() const { return name_; }
@@ -451,22 +449,6 @@ class Loop {
 
 template <class Kernel, class... DArgs>
 Loop(DistCtx&, Kernel, std::string, DistCtx::SetHandle, DArgs...) -> Loop<Kernel, DArgs...>;
-
-// ---- the one-shot wrapper ---------------------------------------------------
-
-/// Mirrors opv::par_loop over opv::Loop: identical call shape, throwaway
-/// handle. The nranks engine handles are built serially on the caller
-/// thread, and phased loops additionally re-derive the interior/boundary
-/// classification and per-rank subset plans (deliberately uncached — they
-/// are handle state, so the wrapper stays bitwise-identical to handle
-/// construction + run). This path's per-call overhead grows with the rank
-/// count; steady-state iteration should construct the Loop once (the
-/// dispatch ablation bench measures the gap).
-template <class Kernel, class... DArgs>
-void DistCtx::loop(Kernel kernel, const char* name, SetHandle set, DArgs... dargs) {
-  Loop<Kernel, DArgs...> l(*this, std::move(kernel), name, set, dargs...);
-  l.run();
-}
 
 /// The persistent-handle factory shared with LocalCtx::make_loop: a driver
 /// templated over the context concept builds its handles once through

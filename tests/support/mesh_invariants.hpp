@@ -100,7 +100,9 @@ inline void check_partition_invariants(const aligned_vector<double>& xy, idx_t n
   }
   const idx_t ceil_share = (n + nparts - 1) / nparts;
   for (int p = 0; p < nparts; ++p) {
-    if (n >= nparts) EXPECT_GT(count[static_cast<std::size_t>(p)], 0) << "rank " << p << " empty";
+    if (n >= nparts) {
+      EXPECT_GT(count[static_cast<std::size_t>(p)], 0) << "rank " << p << " empty";
+    }
     EXPECT_LE(count[static_cast<std::size_t>(p)], 2 * ceil_share)
         << "rank " << p << " holds more than twice the fair share";
   }

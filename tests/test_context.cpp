@@ -77,8 +77,8 @@ TEST(DistCtx, FinalizeIsIdempotentAndImplicit) {
   auto q = ctx.decl_dat<double>("q", cells, 1);
   // First loop triggers finalize implicitly; a second explicit call is a
   // no-op.
-  ctx.loop([](auto* x) { x[0] = std::decay_t<decltype(x[0])>(1.0); }, "init", cells,
-           ctx.arg(q, Access::WRITE));
+  ctx.make_loop([](auto* x) { x[0] = std::decay_t<decltype(x[0])>(1.0); }, "init", cells,
+                ctx.arg<opv::WRITE, 1>(q)).run();
   ctx.finalize();
   aligned_vector<double> out;
   ctx.fetch(q, out);

@@ -173,9 +173,10 @@ TEST_P(HaloP, ExecHaloCompletesOwnedIncrements) {
     for (idx_t e = 0; e < f.m.nedges; ++e) {
       const bool touches_owned = f.owner[f.s_cells][f.m.edge_cells[2 * e]] == r ||
                                  f.owner[f.s_cells][f.m.edge_cells[2 * e + 1]] == r;
-      if (touches_owned)
+      if (touches_owned) {
         EXPECT_TRUE(executed.count(e))
             << "rank " << r << " misses edge " << e << " touching its cells";
+      }
     }
   }
 }
@@ -244,14 +245,20 @@ std::tuple<aligned_vector<double>, double, double> pipeline(Ctx& ctx,
   ctx.finalize();
 
   double gsum = 0, gmin = 0;
+  auto edge = ctx.make_loop(EdgeK{}, "d_edge", edges, ctx.template arg<opv::READ, 2>(x, 0, e2n),
+                            ctx.template arg<opv::READ, 2>(x, 1, e2n),
+                            ctx.template arg<opv::READ, 1>(w),
+                            ctx.template arg<opv::INC, 1>(acc, 0, e2c),
+                            ctx.template arg<opv::INC, 1>(acc, 1, e2c));
+  auto cell = ctx.make_loop(CellK{}, "d_cell", cells, ctx.template arg<opv::RW, 1>(q),
+                            ctx.template arg<opv::READ, 1>(acc),
+                            ctx.template arg_gbl<opv::INC>(&gsum, 1),
+                            ctx.template arg_gbl<opv::MIN>(&gmin, 1));
   for (int it = 0; it < iters; ++it) {
-    ctx.loop(EdgeK{}, "d_edge", edges, ctx.arg(x, 0, e2n, Access::READ),
-             ctx.arg(x, 1, e2n, Access::READ), ctx.arg(w, Access::READ),
-             ctx.arg(acc, 0, e2c, Access::INC), ctx.arg(acc, 1, e2c, Access::INC));
+    edge.run();
     gsum = 0;
     gmin = 1e300;
-    ctx.loop(CellK{}, "d_cell", cells, ctx.arg(q, Access::RW), ctx.arg(acc, Access::READ),
-             ctx.arg_gbl(&gsum, 1, Access::INC), ctx.arg_gbl(&gmin, 1, Access::MIN));
+    cell.run();
   }
   aligned_vector<double> out;
   ctx.fetch(q, out);
@@ -314,11 +321,15 @@ TEST(DistCtx, DirtyBitsTriggerExchangesAndMatchLocal) {
     auto q = ctx.template decl_dat<double>("q", cells, 1, qi);
     auto acc = ctx.template decl_dat<double>("acc", cells, 1);
     ctx.finalize();
+    auto edge = ctx.make_loop(GatherQ{}, "h_edge", edges, ctx.template arg<opv::READ, 1>(q, 0, e2c),
+                              ctx.template arg<opv::READ, 1>(q, 1, e2c),
+                              ctx.template arg<opv::INC, 1>(acc, 0, e2c),
+                              ctx.template arg<opv::INC, 1>(acc, 1, e2c));
+    auto cell = ctx.make_loop(BumpQ{}, "h_cell", cells, ctx.template arg<opv::RW, 1>(q),
+                              ctx.template arg<opv::READ, 1>(acc));
     for (int it = 0; it < 4; ++it) {
-      ctx.loop(GatherQ{}, "h_edge", edges, ctx.arg(q, 0, e2c, Access::READ),
-               ctx.arg(q, 1, e2c, Access::READ), ctx.arg(acc, 0, e2c, Access::INC),
-               ctx.arg(acc, 1, e2c, Access::INC));
-      ctx.loop(BumpQ{}, "h_cell", cells, ctx.arg(q, Access::RW), ctx.arg(acc, Access::READ));
+      edge.run();
+      cell.run();
     }
     aligned_vector<double> out;
     ctx.fetch(q, out);

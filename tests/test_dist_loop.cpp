@@ -1,5 +1,5 @@
 // Tests for the persistent distributed-loop API (dist/loop.hpp): bitwise
-// equivalence of dist::Loop::run() with the one-shot DistCtx::loop on
+// equivalence of a persistent dist::Loop with a fresh handle per run on
 // airfoil-style loops, dirty-bit laziness across repeated runs (verified
 // through a counting Exchanger — the pluggable-transport seam), exchange-
 // plan pinning, per-rank imbalance stats, construction-time argument
@@ -32,11 +32,11 @@ using namespace opv::dist;
 
 template <AccessMode A>
 concept DistDatDirectOk =
-    requires(DistCtx& c, DistCtx::DatHandle<double> d) { c.arg<A>(d); };
+    requires(DistCtx& c, DistCtx::DatHandle<double> d) { c.arg<A, 1>(d); };
 template <AccessMode A>
 concept DistDatIndirectOk =
     requires(DistCtx& c, DistCtx::DatHandle<double> d, DistCtx::MapHandle m) {
-      c.arg<A>(d, 0, m);
+      c.arg<A, 1>(d, 0, m);
     };
 template <AccessMode A>
 concept DistGblOk = requires(DistCtx& c, double* p) { c.arg_gbl<A>(p, 1); };
@@ -52,8 +52,8 @@ static_assert(!DistGblOk<opv::WRITE>, "globals cannot be element-wise written");
 static_assert(!DistGblOk<opv::RW>, "globals cannot be read-modify-written");
 
 // Compile-time conflict classification carries over to dist descriptors.
-static_assert(dist::Loop<int, DistArgDat<double, opv::INC, kDynDim, true>>::has_inc);
-static_assert(!dist::Loop<int, DistArgDat<double, opv::READ, kDynDim, true>,
+static_assert(dist::Loop<int, DistArgDat<double, opv::INC, 1, true>>::has_inc);
+static_assert(!dist::Loop<int, DistArgDat<double, opv::READ, 1, true>,
                           DistArgGbl<double, opv::INC>>::has_inc);
 
 // Compile-time Dim carries through the dist descriptors into the per-rank
@@ -63,8 +63,25 @@ static_assert(std::is_same_v<dist::detail::rank_arg_t<DistArgDat<double, opv::IN
 template <int Dim>
 concept DistDimOk =
     requires(DistCtx& c, DistCtx::DatHandle<double> d) { c.arg<opv::READ, Dim>(d); };
-static_assert(DistDimOk<kDynDim> && DistDimOk<1> && DistDimOk<kMaxDim>);
-static_assert(!DistDimOk<-2> && !DistDimOk<kMaxDim + 1>, "Dim bounded by [1,kMaxDim]");
+static_assert(DistDimOk<1> && DistDimOk<kMaxDim>);
+static_assert(!DistDimOk<0> && !DistDimOk<-2> && !DistDimOk<kMaxDim + 1>,
+              "Dim bounded by [1,kMaxDim]");
+
+// A plain handle must spell Dim; a FixedDat handle deduces it, and an
+// explicit Dim that contradicts the handle's N fails to compile.
+template <class H>
+concept DistUnspelledDirectOk = requires(DistCtx& c, H d) { c.arg<opv::READ>(d); };
+template <class H>
+concept DistUnspelledIndirectOk =
+    requires(DistCtx& c, H d, DistCtx::MapHandle m) { c.arg<opv::READ>(d, 0, m); };
+static_assert(!DistUnspelledDirectOk<DistCtx::DatHandle<double>>);
+static_assert(!DistUnspelledIndirectOk<DistCtx::DatHandle<double>>);
+static_assert(DistUnspelledDirectOk<DistCtx::FixedDatHandle<double, 3>>);
+static_assert(DistUnspelledIndirectOk<DistCtx::FixedDatHandle<double, 3>>);
+template <int Dim>
+concept DistFixedDimOk =
+    requires(DistCtx& c, DistCtx::FixedDatHandle<double, 3> d) { c.arg<opv::READ, Dim>(d); };
+static_assert(DistFixedDimOk<3> && !DistFixedDimOk<2>);
 
 // ---- fixture: airfoil-style edge/cell pipeline ------------------------------
 
@@ -115,7 +132,7 @@ struct Universe {
   }
 };
 
-// ---- equivalence with the one-shot path -------------------------------------
+// ---- equivalence with a fresh handle per run -----------------------------------
 
 class DistLoopEquivP : public ::testing::TestWithParam<std::tuple<int, Backend>> {};
 
@@ -123,28 +140,29 @@ TEST_P(DistLoopEquivP, BitwiseMatchesOneShot) {
   const auto [nranks, backend] = GetParam();
   const ExecConfig cfg{.backend = backend, .nthreads = backend == Backend::Seq ? 1 : 2};
 
-  // Reference: the one-shot DistCtx::loop call shape, every iteration.
+  // Reference: a throwaway handle built and run once per iteration.
   Universe a(nranks, cfg);
   double gsum_a = 0, gmin_a = 0;
   for (int it = 0; it < 4; ++it) {
-    a.ctx.loop(EdgeK{}, "dl_edge", a.edges, a.ctx.arg(a.x, 0, a.e2n, Access::READ),
-               a.ctx.arg(a.x, 1, a.e2n, Access::READ), a.ctx.arg(a.w, Access::READ),
-               a.ctx.arg(a.acc, 0, a.e2c, Access::INC), a.ctx.arg(a.acc, 1, a.e2c, Access::INC));
+    a.ctx.make_loop(EdgeK{}, "dl_edge", a.edges, a.ctx.arg<opv::READ, 2>(a.x, 0, a.e2n),
+                    a.ctx.arg<opv::READ, 2>(a.x, 1, a.e2n), a.ctx.arg<opv::READ, 1>(a.w),
+                    a.ctx.arg<opv::INC, 1>(a.acc, 0, a.e2c),
+                    a.ctx.arg<opv::INC, 1>(a.acc, 1, a.e2c)).run();
     gsum_a = 0;
     gmin_a = 1e300;
-    a.ctx.loop(CellK{}, "dl_cell", a.cells, a.ctx.arg(a.q, Access::RW),
-               a.ctx.arg(a.acc, Access::READ), a.ctx.arg_gbl(&gsum_a, 1, Access::INC),
-               a.ctx.arg_gbl(&gmin_a, 1, Access::MIN));
+    a.ctx.make_loop(CellK{}, "dl_cell", a.cells, a.ctx.arg<opv::RW, 1>(a.q),
+                    a.ctx.arg<opv::READ, 1>(a.acc), a.ctx.arg_gbl<opv::INC>(&gsum_a, 1),
+                    a.ctx.arg_gbl<opv::MIN>(&gmin_a, 1)).run();
   }
 
   // Handles: constructed once, run every iteration.
   Universe b(nranks, cfg);
   double gsum_b = 0, gmin_b = 0;
-  dist::Loop edge(b.ctx, EdgeK{}, "dl_edge_h", b.edges, b.ctx.arg<opv::READ>(b.x, 0, b.e2n),
-                  b.ctx.arg<opv::READ>(b.x, 1, b.e2n), b.ctx.arg<opv::READ>(b.w),
-                  b.ctx.arg<opv::INC>(b.acc, 0, b.e2c), b.ctx.arg<opv::INC>(b.acc, 1, b.e2c));
-  dist::Loop cell(b.ctx, CellK{}, "dl_cell_h", b.cells, b.ctx.arg<opv::RW>(b.q),
-                  b.ctx.arg<opv::READ>(b.acc), b.ctx.arg_gbl<opv::INC>(&gsum_b, 1),
+  dist::Loop edge(b.ctx, EdgeK{}, "dl_edge_h", b.edges, b.ctx.arg<opv::READ, 2>(b.x, 0, b.e2n),
+                  b.ctx.arg<opv::READ, 2>(b.x, 1, b.e2n), b.ctx.arg<opv::READ, 1>(b.w),
+                  b.ctx.arg<opv::INC, 1>(b.acc, 0, b.e2c), b.ctx.arg<opv::INC, 1>(b.acc, 1, b.e2c));
+  dist::Loop cell(b.ctx, CellK{}, "dl_cell_h", b.cells, b.ctx.arg<opv::RW, 1>(b.q),
+                  b.ctx.arg<opv::READ, 1>(b.acc), b.ctx.arg_gbl<opv::INC>(&gsum_b, 1),
                   b.ctx.arg_gbl<opv::MIN>(&gmin_b, 1));
   static_assert(decltype(edge)::has_inc);
   static_assert(!decltype(cell)::has_inc);
@@ -211,11 +229,11 @@ TEST(DistLoop, DirtyBitsStayLazyAcrossRuns) {
   CountingExchanger* c = counter.get();
   u.ctx.set_exchanger(std::move(counter));
 
-  dist::Loop edge(u.ctx, GatherQ{}, "lazy_edge", u.edges, u.ctx.arg<opv::READ>(u.q, 0, u.e2c),
-                  u.ctx.arg<opv::READ>(u.q, 1, u.e2c), u.ctx.arg<opv::INC>(u.acc, 0, u.e2c),
-                  u.ctx.arg<opv::INC>(u.acc, 1, u.e2c));
-  dist::Loop cell(u.ctx, BumpQ{}, "lazy_cell", u.cells, u.ctx.arg<opv::RW>(u.q),
-                  u.ctx.arg<opv::READ>(u.acc));
+  dist::Loop edge(u.ctx, GatherQ{}, "lazy_edge", u.edges, u.ctx.arg<opv::READ, 1>(u.q, 0, u.e2c),
+                  u.ctx.arg<opv::READ, 1>(u.q, 1, u.e2c), u.ctx.arg<opv::INC, 1>(u.acc, 0, u.e2c),
+                  u.ctx.arg<opv::INC, 1>(u.acc, 1, u.e2c));
+  dist::Loop cell(u.ctx, BumpQ{}, "lazy_cell", u.cells, u.ctx.arg<opv::RW, 1>(u.q),
+                  u.ctx.arg<opv::READ, 1>(u.acc));
 
   // Initial halos are fresh from materialize(): reads trigger no exchange.
   edge.run();
@@ -236,9 +254,9 @@ TEST(DistLoop, DirtyBitsStayLazyAcrossRuns) {
 
 TEST(DistLoop, ExchangePlanAndRankPlansPinned) {
   Universe u(2, ExecConfig{.backend = Backend::Simd, .simd_width = 4, .nthreads = 1});
-  dist::Loop edge(u.ctx, GatherQ{}, "pin_edge", u.edges, u.ctx.arg<opv::READ>(u.q, 0, u.e2c),
-                  u.ctx.arg<opv::READ>(u.q, 1, u.e2c), u.ctx.arg<opv::INC>(u.acc, 0, u.e2c),
-                  u.ctx.arg<opv::INC>(u.acc, 1, u.e2c));
+  dist::Loop edge(u.ctx, GatherQ{}, "pin_edge", u.edges, u.ctx.arg<opv::READ, 1>(u.q, 0, u.e2c),
+                  u.ctx.arg<opv::READ, 1>(u.q, 1, u.e2c), u.ctx.arg<opv::INC, 1>(u.acc, 0, u.e2c),
+                  u.ctx.arg<opv::INC, 1>(u.acc, 1, u.e2c));
 
   // The plan is derived at construction, before any run.
   const ExchangePlan* plan = &edge.exchange_plan();
@@ -261,9 +279,9 @@ TEST(DistLoop, ExchangePlanAndRankPlansPinned) {
 TEST(DistLoop, RecordsRankImbalance) {
   StatsRegistry::instance().clear();
   Universe u(4, ExecConfig{.backend = Backend::Seq, .nthreads = 1});
-  dist::Loop edge(u.ctx, GatherQ{}, "imb_edge", u.edges, u.ctx.arg<opv::READ>(u.q, 0, u.e2c),
-                  u.ctx.arg<opv::READ>(u.q, 1, u.e2c), u.ctx.arg<opv::INC>(u.acc, 0, u.e2c),
-                  u.ctx.arg<opv::INC>(u.acc, 1, u.e2c));
+  dist::Loop edge(u.ctx, GatherQ{}, "imb_edge", u.edges, u.ctx.arg<opv::READ, 1>(u.q, 0, u.e2c),
+                  u.ctx.arg<opv::READ, 1>(u.q, 1, u.e2c), u.ctx.arg<opv::INC, 1>(u.acc, 0, u.e2c),
+                  u.ctx.arg<opv::INC, 1>(u.acc, 1, u.e2c));
   for (int it = 0; it < 3; ++it) edge.run();
 
   ASSERT_EQ(edge.rank_seconds().size(), 4u);
@@ -286,28 +304,31 @@ TEST(DistLoop, RecordsRankImbalance) {
 
 // ---- compile-time Dim through the dist layer --------------------------------
 
-/// A dist loop mixing typed-Dim and runtime-dim descriptors must match the
-/// all-runtime baseline bitwise: Dim only changes the generated code shape
-/// (unrolled vs looped per-component accesses), never arithmetic order.
-TEST(DistLoop, MixedDimSpellingsBitwiseMatchRuntimeBaseline) {
+/// A FixedDat handle deduces the Dim a plain handle spells: both spellings
+/// build the same dist::Loop type and therefore bitwise-identical runs.
+TEST(DistLoop, FixedHandleDeducesSpelledDim) {
   const ExecConfig cfg{.backend = Backend::Simd, .simd_width = 4, .nthreads = 2};
 
   Universe a(3, cfg);
-  dist::Loop rt(a.ctx, EdgeK{}, "mixdim_rt", a.edges, a.ctx.arg<opv::READ>(a.x, 0, a.e2n),
-                a.ctx.arg<opv::READ>(a.x, 1, a.e2n), a.ctx.arg<opv::READ>(a.w),
-                a.ctx.arg<opv::INC>(a.acc, 0, a.e2c), a.ctx.arg<opv::INC>(a.acc, 1, a.e2c));
+  dist::Loop spelled(a.ctx, EdgeK{}, "dim_spelled", a.edges, a.ctx.arg<opv::READ, 2>(a.x, 0, a.e2n),
+                     a.ctx.arg<opv::READ, 2>(a.x, 1, a.e2n), a.ctx.arg<opv::READ, 1>(a.w),
+                     a.ctx.arg<opv::INC, 1>(a.acc, 0, a.e2c),
+                     a.ctx.arg<opv::INC, 1>(a.acc, 1, a.e2c));
 
+  // Fixed handles over the same declarations (decl_dat<T, N> returns
+  // exactly {id} with N in the type).
   Universe b(3, cfg);
-  dist::Loop mix(b.ctx, EdgeK{}, "mixdim_mixed", b.edges,
-                 b.ctx.arg<opv::READ, 2>(b.x, 0, b.e2n), b.ctx.arg<opv::READ>(b.x, 1, b.e2n),
-                 b.ctx.arg<opv::READ, 1>(b.w), b.ctx.arg<opv::INC>(b.acc, 0, b.e2c),
-                 b.ctx.arg<opv::INC, 1>(b.acc, 1, b.e2c));
-  static_assert(!std::is_same_v<decltype(rt), decltype(mix)>,
-                "Dim is part of the dist::Loop type");
+  const DistCtx::FixedDatHandle<double, 2> x{b.x.id};
+  const DistCtx::FixedDatHandle<double, 1> w{b.w.id}, acc{b.acc.id};
+  dist::Loop deduced(b.ctx, EdgeK{}, "dim_deduced", b.edges, b.ctx.arg<opv::READ>(x, 0, b.e2n),
+                     b.ctx.arg<opv::READ>(x, 1, b.e2n), b.ctx.arg<opv::READ>(w),
+                     b.ctx.arg<opv::INC>(acc, 0, b.e2c), b.ctx.arg<opv::INC>(acc, 1, b.e2c));
+  static_assert(std::is_same_v<decltype(spelled), decltype(deduced)>,
+                "a deduced Dim builds the same dist::Loop type as a spelled one");
 
   for (int it = 0; it < 3; ++it) {
-    rt.run();
-    mix.run();
+    spelled.run();
+    deduced.run();
   }
   aligned_vector<double> ra, rb;
   a.ctx.fetch(a.acc, ra);
@@ -316,8 +337,8 @@ TEST(DistLoop, MixedDimSpellingsBitwiseMatchRuntimeBaseline) {
   for (std::size_t i = 0; i < ra.size(); ++i) ASSERT_EQ(ra[i], rb[i]) << "cell " << i;
 }
 
-/// A compile-time descriptor Dim contradicting the declared dat throws at
-/// descriptor construction (the dist analog of opv::arg's runtime check).
+/// A descriptor Dim contradicting the declared dat throws at descriptor
+/// construction (the dist analog of opv::arg's runtime check).
 TEST(DistLoop, DimMismatchThrowsAtConstruction) {
   Universe u(2, ExecConfig{.backend = Backend::Seq, .nthreads = 1});
   EXPECT_THROW((u.ctx.arg<opv::READ, 3>(u.x, 0, u.e2n)), Error);  // x has dim 2
@@ -334,9 +355,9 @@ TEST(DistLoop, DimMismatchThrowsAtConstruction) {
 /// owned element that maps into a halo slot is boundary.
 TEST(DistLoopPhases, ClassificationPartitionsExecutedElements) {
   Universe u(4, ExecConfig{.backend = Backend::Seq, .nthreads = 1});
-  dist::Loop edge(u.ctx, GatherQ{}, "cls_edge", u.edges, u.ctx.arg<opv::READ>(u.q, 0, u.e2c),
-                  u.ctx.arg<opv::READ>(u.q, 1, u.e2c), u.ctx.arg<opv::INC>(u.acc, 0, u.e2c),
-                  u.ctx.arg<opv::INC>(u.acc, 1, u.e2c));
+  dist::Loop edge(u.ctx, GatherQ{}, "cls_edge", u.edges, u.ctx.arg<opv::READ, 1>(u.q, 0, u.e2c),
+                  u.ctx.arg<opv::READ, 1>(u.q, 1, u.e2c), u.ctx.arg<opv::INC, 1>(u.acc, 0, u.e2c),
+                  u.ctx.arg<opv::INC, 1>(u.acc, 1, u.e2c));
   const ExchangePlan& plan = edge.exchange_plan();
   ASSERT_TRUE(plan.can_overlap);
   ASSERT_EQ(plan.phases.size(), 4u);
@@ -375,8 +396,8 @@ TEST(DistLoopPhases, ClassificationPartitionsExecutedElements) {
 /// always the blocking path.
 TEST(DistLoopPhases, DirectLoopIsNotPhased) {
   Universe u(3, ExecConfig{.backend = Backend::Seq, .nthreads = 1});
-  dist::Loop cell(u.ctx, BumpQ{}, "cls_cell", u.cells, u.ctx.arg<opv::RW>(u.q),
-                  u.ctx.arg<opv::READ>(u.acc));
+  dist::Loop cell(u.ctx, BumpQ{}, "cls_cell", u.cells, u.ctx.arg<opv::RW, 1>(u.q),
+                  u.ctx.arg<opv::READ, 1>(u.acc));
   EXPECT_FALSE(cell.exchange_plan().can_overlap);
   EXPECT_TRUE(cell.exchange_plan().phases.empty());
   EXPECT_EQ(cell.effective_mode(), ExchangeMode::Blocking);
@@ -420,11 +441,11 @@ TEST(DistLoopPhases, EveryBeginPairedWithExactlyOneWait) {
   u.ctx.set_exchanger(std::move(pairing));
   ASSERT_EQ(u.ctx.exchange_mode(), ExchangeMode::Overlap) << "Overlap must be the default";
 
-  dist::Loop edge(u.ctx, GatherQ{}, "pair_edge", u.edges, u.ctx.arg<opv::READ>(u.q, 0, u.e2c),
-                  u.ctx.arg<opv::READ>(u.q, 1, u.e2c), u.ctx.arg<opv::INC>(u.acc, 0, u.e2c),
-                  u.ctx.arg<opv::INC>(u.acc, 1, u.e2c));
-  dist::Loop cell(u.ctx, BumpQ{}, "pair_cell", u.cells, u.ctx.arg<opv::RW>(u.q),
-                  u.ctx.arg<opv::READ>(u.acc));
+  dist::Loop edge(u.ctx, GatherQ{}, "pair_edge", u.edges, u.ctx.arg<opv::READ, 1>(u.q, 0, u.e2c),
+                  u.ctx.arg<opv::READ, 1>(u.q, 1, u.e2c), u.ctx.arg<opv::INC, 1>(u.acc, 0, u.e2c),
+                  u.ctx.arg<opv::INC, 1>(u.acc, 1, u.e2c));
+  dist::Loop cell(u.ctx, BumpQ{}, "pair_cell", u.cells, u.ctx.arg<opv::RW, 1>(u.q),
+                  u.ctx.arg<opv::READ, 1>(u.acc));
   EXPECT_EQ(edge.effective_mode(), ExchangeMode::Overlap);
 
   edge.run();  // initial halos fresh: nothing begun
@@ -463,11 +484,11 @@ TEST_P(DistOverlapEquivP, OverlapBitwiseMatchesBlockingPhased) {
     if (staged) u.ctx.set_exchanger(std::make_unique<StagedExchanger>(/*async=*/true));
     u.ctx.set_exchange_mode(mode);
     dist::Loop edge(u.ctx, GatherQ{}, "ovq_edge", u.edges,
-                    u.ctx.arg<opv::READ>(u.q, 0, u.e2c), u.ctx.arg<opv::READ>(u.q, 1, u.e2c),
-                    u.ctx.arg<opv::INC>(u.acc, 0, u.e2c),
-                    u.ctx.arg<opv::INC>(u.acc, 1, u.e2c));
-    dist::Loop cell(u.ctx, BumpQ{}, "ovq_cell", u.cells, u.ctx.arg<opv::RW>(u.q),
-                    u.ctx.arg<opv::READ>(u.acc));
+                    u.ctx.arg<opv::READ, 1>(u.q, 0, u.e2c), u.ctx.arg<opv::READ, 1>(u.q, 1, u.e2c),
+                    u.ctx.arg<opv::INC, 1>(u.acc, 0, u.e2c),
+                    u.ctx.arg<opv::INC, 1>(u.acc, 1, u.e2c));
+    dist::Loop cell(u.ctx, BumpQ{}, "ovq_cell", u.cells, u.ctx.arg<opv::RW, 1>(u.q),
+                    u.ctx.arg<opv::READ, 1>(u.acc));
     for (int it = 0; it < 4; ++it) {
       edge.run();
       cell.run();
@@ -514,8 +535,8 @@ TEST(DistLoopPhases, ReadWriteOverlapFallsBackToBlocking) {
   PairingExchanger* p = pairing.get();
   u.ctx.set_exchanger(std::move(pairing));
 
-  dist::Loop avg(u.ctx, AvgK{}, "rw_edge", u.edges, u.ctx.arg<opv::RW>(u.q, 0, u.e2c),
-                 u.ctx.arg<opv::RW>(u.q, 1, u.e2c));
+  dist::Loop avg(u.ctx, AvgK{}, "rw_edge", u.edges, u.ctx.arg<opv::RW, 1>(u.q, 0, u.e2c),
+                 u.ctx.arg<opv::RW, 1>(u.q, 1, u.e2c));
   EXPECT_FALSE(avg.exchange_plan().can_overlap)
       << "a dat both read stale and written cannot overlap";
   EXPECT_TRUE(avg.exchange_plan().phases.empty());
@@ -532,11 +553,11 @@ TEST(DistLoopPhases, ReadWriteOverlapFallsBackToBlocking) {
 TEST(DistLoopPhases, RecordsExchangeTimeAndValues) {
   StatsRegistry::instance().clear();
   Universe u(3, ExecConfig{.backend = Backend::Seq, .nthreads = 1});
-  dist::Loop edge(u.ctx, GatherQ{}, "xch_edge", u.edges, u.ctx.arg<opv::READ>(u.q, 0, u.e2c),
-                  u.ctx.arg<opv::READ>(u.q, 1, u.e2c), u.ctx.arg<opv::INC>(u.acc, 0, u.e2c),
-                  u.ctx.arg<opv::INC>(u.acc, 1, u.e2c));
-  dist::Loop cell(u.ctx, BumpQ{}, "xch_cell", u.cells, u.ctx.arg<opv::RW>(u.q),
-                  u.ctx.arg<opv::READ>(u.acc));
+  dist::Loop edge(u.ctx, GatherQ{}, "xch_edge", u.edges, u.ctx.arg<opv::READ, 1>(u.q, 0, u.e2c),
+                  u.ctx.arg<opv::READ, 1>(u.q, 1, u.e2c), u.ctx.arg<opv::INC, 1>(u.acc, 0, u.e2c),
+                  u.ctx.arg<opv::INC, 1>(u.acc, 1, u.e2c));
+  dist::Loop cell(u.ctx, BumpQ{}, "xch_cell", u.cells, u.ctx.arg<opv::RW, 1>(u.q),
+                  u.ctx.arg<opv::READ, 1>(u.acc));
   for (int it = 0; it < 3; ++it) {
     cell.run();
     edge.run();
@@ -558,10 +579,10 @@ TEST(DistLoopPhases, RecordsExchangeTimeAndValues) {
 
 TEST(DistLoop, MakeLoopReturnsRunnableHandle) {
   Universe u(3, ExecConfig{.backend = Backend::Seq, .nthreads = 1});
-  auto edge = u.ctx.make_loop(GatherQ{}, "mk_edge", u.edges, u.ctx.arg<opv::READ>(u.q, 0, u.e2c),
-                              u.ctx.arg<opv::READ>(u.q, 1, u.e2c),
-                              u.ctx.arg<opv::INC>(u.acc, 0, u.e2c),
-                              u.ctx.arg<opv::INC>(u.acc, 1, u.e2c));
+  auto edge = u.ctx.make_loop(GatherQ{}, "mk_edge", u.edges, u.ctx.arg<opv::READ, 1>(u.q, 0, u.e2c),
+                              u.ctx.arg<opv::READ, 1>(u.q, 1, u.e2c),
+                              u.ctx.arg<opv::INC, 1>(u.acc, 0, u.e2c),
+                              u.ctx.arg<opv::INC, 1>(u.acc, 1, u.e2c));
   edge.run();
   edge.run();
   EXPECT_EQ(edge.nranks(), 3);
@@ -573,15 +594,15 @@ TEST(DistLoop, MakeLoopReturnsRunnableHandle) {
 TEST(DistLoop, ValidatesArgsAgainstIterationSet) {
   Universe u(2, ExecConfig{.backend = Backend::Seq, .nthreads = 1});
   // Direct dat on the wrong set: q lives on cells, loop iterates edges.
-  EXPECT_THROW(dist::Loop(u.ctx, BumpQ{}, "bad_direct", u.edges, u.ctx.arg<opv::RW>(u.q),
-                          u.ctx.arg<opv::READ>(u.acc)),
+  EXPECT_THROW(dist::Loop(u.ctx, BumpQ{}, "bad_direct", u.edges, u.ctx.arg<opv::RW, 1>(u.q),
+                          u.ctx.arg<opv::READ, 1>(u.acc)),
                Error);
   // Indirect arg through a map that is not FROM the iteration set.
   EXPECT_THROW(dist::Loop(u.ctx, GatherQ{}, "bad_map", u.cells,
-                          u.ctx.arg<opv::READ>(u.q, 0, u.e2c),
-                          u.ctx.arg<opv::READ>(u.q, 1, u.e2c),
-                          u.ctx.arg<opv::INC>(u.acc, 0, u.e2c),
-                          u.ctx.arg<opv::INC>(u.acc, 1, u.e2c)),
+                          u.ctx.arg<opv::READ, 1>(u.q, 0, u.e2c),
+                          u.ctx.arg<opv::READ, 1>(u.q, 1, u.e2c),
+                          u.ctx.arg<opv::INC, 1>(u.acc, 0, u.e2c),
+                          u.ctx.arg<opv::INC, 1>(u.acc, 1, u.e2c)),
                Error);
 }
 

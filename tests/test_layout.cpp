@@ -16,10 +16,7 @@
 //     execution) throw instead of silently never applying;
 //  5. 3D partitioning — partition_rcb with ndims == 3 bisects the true 3D
 //     bounding box (a z-elongated mesh splits into z bands, which an xy
-//     projection could never produce);
-//  6. Simt staging — ExecConfig::simt_staging stays within field-norm
-//     tolerance of the Seq reference (block-granular INC reassociation
-//     makes bitwise the wrong bar there).
+//     projection could never produce).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -247,7 +244,7 @@ TEST(LocalLayout, RequestsThrowAfterFirstLoopRan) {
   LocalCtx ctx;
   auto cells = ctx.decl_set("cells", 8);
   auto d = ctx.decl_dat<double>("d", cells, 2);
-  ctx.loop(SetOneKernel{}, "set_one", cells, ctx.arg<opv::WRITE, 2>(d));
+  ctx.make_loop(SetOneKernel{}, "set_one", cells, ctx.arg<opv::WRITE, 2>(d)).run();
   EXPECT_THROW(ctx.set_layout(d, Layout::SoA), Error);
   EXPECT_THROW(ctx.set_default_layout(Layout::AoSoA), Error);
 }
@@ -357,46 +354,6 @@ INSTANTIATE_TEST_SUITE_P(
              layout_name(std::get<1>(info.param));
     });
 
-// ===== Simt shared-scratch staging ==========================================
-
-class SimtStagingP : public ::testing::TestWithParam<Layout> {};
-
-TEST_P(SimtStagingP, AirfoilWithinFieldNormOfSeq) {
-  const auto m = airfoil_mesh();
-  LocalCtx ref_ctx(ExecConfig{.backend = Backend::Seq});
-  airfoil::Airfoil<double, LocalCtx> ref(ref_ctx, m);
-  ref.run(3, 0);
-
-  ExecConfig cfg{.backend = Backend::Simt};
-  cfg.simt_staging = true;
-  LocalCtx ctx(cfg);
-  ctx.set_default_layout(GetParam());
-  airfoil::Airfoil<double, LocalCtx> app(ctx, m);
-  app.run(3, 0);
-  // Staging reassociates indirect-increment sums at block granularity, so
-  // the contract is field-norm tolerance, not bitwise (config.hpp).
-  EXPECT_LT(field_norm_divergence(ref.fetch_q(), app.fetch_q()), 1e-12);
-}
-
-TEST_P(SimtStagingP, Tet3DWithinFieldNormOfSeq) {
-  const auto m = tet_mesh();
-  LocalCtx ref_ctx(ExecConfig{.backend = Backend::Seq});
-  tet3d::Tet3D<double, LocalCtx> ref(ref_ctx, m);
-  ref.run(3, 0);
-
-  ExecConfig cfg{.backend = Backend::Simt};
-  cfg.simt_staging = true;
-  LocalCtx ctx(cfg);
-  ctx.set_default_layout(GetParam());
-  tet3d::Tet3D<double, LocalCtx> app(ctx, m);
-  app.run(3, 0);
-  EXPECT_LT(field_norm_divergence(ref.fetch_u(), app.fetch_u()), 1e-12);
-}
-
-INSTANTIATE_TEST_SUITE_P(Layouts, SimtStagingP,
-                         ::testing::Values(Layout::AoS, Layout::SoA, Layout::AoSoA),
-                         [](const auto& info) { return layout_name(info.param); });
-
 // ===== 3D recursive coordinate bisection ====================================
 
 /// Points on a 4 x 4 x 32 grid, z spacing 1, x/y spacing 0.1: the true
@@ -436,11 +393,13 @@ TEST(Partition3D, RcbSplitsZElongatedBoxIntoZBands) {
       hi = std::max(hi, z);
     }
     for (int a = 0; a < nparts; ++a)
-      for (int b = 0; b < nparts; ++b)
-        if (a != b)
+      for (int b = 0; b < nparts; ++b) {
+        if (a != b) {
           EXPECT_TRUE(zhi[static_cast<std::size_t>(a)] < zlo[static_cast<std::size_t>(b)] ||
                       zhi[static_cast<std::size_t>(b)] < zlo[static_cast<std::size_t>(a)])
               << "parts " << a << " and " << b << " overlap in z (nparts=" << nparts << ")";
+        }
+      }
   }
 }
 

@@ -1,10 +1,10 @@
 // Tests for the typed-argument API and the reusable Loop handle:
-// compile-time rejection of invalid access/argument combinations and of
-// Dim/dat mismatches, Loop::run() equivalence with one-shot par_loop across
-// backends (including loops mixing compile-time-Dim and runtime-dim
-// descriptors), plan pinning (pointer stability across runs), stats
-// accumulation through the pre-bound slot, and kAuto tuner lifetime across
-// re-templated handles.
+// compile-time rejection of invalid access/argument combinations, of
+// Dim/dat mismatches and of a plain Dat without a spelled Dim, Loop::run()
+// equivalence with a fresh handle per run across backends, FixedDat Dim
+// deduction matching the spelled Dim bitwise, plan pinning (pointer
+// stability across runs), stats accumulation through the pre-bound slot,
+// and kAuto tuner lifetime across re-templated handles.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,9 +26,9 @@ using namespace opv;
 // throw: the requires-expressions below are the negative-compile assertions.
 
 template <AccessMode A>
-concept DatDirectArgOk = requires(Dat<double>& d) { opv::arg<A>(d); };
+concept DatDirectArgOk = requires(Dat<double>& d) { opv::arg<A, 1>(d); };
 template <AccessMode A>
-concept DatIndirectArgOk = requires(Dat<double>& d, const Map& m) { opv::arg<A>(d, 0, m); };
+concept DatIndirectArgOk = requires(Dat<double>& d, const Map& m) { opv::arg<A, 1>(d, 0, m); };
 template <AccessMode A>
 concept GblArgOk = requires(double* p) { opv::arg_gbl<A>(p, 1); };
 
@@ -42,53 +42,53 @@ static_assert(GblArgOk<opv::READ> && GblArgOk<opv::INC> && GblArgOk<opv::MIN> &&
 static_assert(!GblArgOk<opv::WRITE>, "globals cannot be element-wise written");
 static_assert(!GblArgOk<opv::RW>, "globals cannot be read-modify-written");
 
-// The tag spelling is the same typed API: it must be rejected identically.
-template <class Tag>
-concept DatTagArgOk = requires(Dat<double>& d, Tag t) { opv::arg(d, t); };
-template <class Tag>
-concept GblTagArgOk = requires(double* p, Tag t) { opv::arg_gbl(p, 1, t); };
-static_assert(DatTagArgOk<decltype(Access::INC)>);
-static_assert(!DatTagArgOk<decltype(Access::MIN)>);
-static_assert(GblTagArgOk<decltype(Access::MAX)>);
-static_assert(!GblTagArgOk<decltype(Access::WRITE)>);
-
 // ---- compile-time Dim validation -------------------------------------------
-// A descriptor Dim outside [1,kMaxDim] (other than the kDynDim sentinel) or
-// contradicting a statically-dimensioned dat must fail to COMPILE.
+// A descriptor Dim outside [1,kMaxDim] or contradicting a statically-
+// dimensioned dat must fail to COMPILE.
 
 template <int Dim, class D = Dat<double>>
 concept DimArgOk = requires(D& d) { opv::arg<opv::READ, Dim>(d); };
-static_assert(DimArgOk<kDynDim> && DimArgOk<1> && DimArgOk<4> && DimArgOk<kMaxDim>);
-static_assert(!DimArgOk<-1> && !DimArgOk<kMaxDim + 1>, "Dim bounded by [1,kMaxDim]");
+static_assert(DimArgOk<1> && DimArgOk<4> && DimArgOk<kMaxDim>);
+static_assert(!DimArgOk<0> && !DimArgOk<-1> && !DimArgOk<kMaxDim + 1>,
+              "Dim bounded by [1,kMaxDim]");
 static_assert(DimArgOk<4, FixedDat<double, 4>>, "matching explicit Dim is fine");
 static_assert(!DimArgOk<3, FixedDat<double, 4>>,
               "Dim mismatching the dat's static arity must not compile");
 static_assert(!DimArgOk<1, FixedDat<double, 4>>);
 
-// A FixedDat deduces its Dim with no explicit spelling; a plain Dat stays
-// runtime-dimensioned under the same spelling.
+// A FixedDat deduces its Dim with no explicit spelling; a plain Dat must
+// spell it — through opv:: and through LocalCtx alike (DistCtx: see
+// test_dist_loop.cpp).
 static_assert(std::is_same_v<decltype(opv::arg<opv::READ>(std::declval<FixedDat<double, 4>&>())),
                              Arg<double, opv::READ, 4, false>>);
-static_assert(std::is_same_v<decltype(opv::arg<opv::READ>(std::declval<Dat<double>&>())),
-                             Arg<double, opv::READ, kDynDim, false>>);
-// ...including through the tag spelling.
-static_assert(
-    std::is_same_v<decltype(opv::arg(std::declval<FixedDat<double, 2>&>(), Access::WRITE)),
-                   Arg<double, opv::WRITE, 2, false>>);
+template <class D>
+concept UnspelledDirectOk = requires(D& d) { opv::arg<opv::READ>(d); };
+template <class D>
+concept UnspelledIndirectOk = requires(D& d, const Map& m) { opv::arg<opv::READ>(d, 0, m); };
+static_assert(!UnspelledDirectOk<Dat<double>> && !UnspelledIndirectOk<Dat<double>>,
+              "a plain Dat without a Dim must not compile");
+static_assert(UnspelledDirectOk<FixedDat<double, 2>> && UnspelledIndirectOk<FixedDat<double, 2>>);
+template <class H>
+concept CtxUnspelledDirectOk = requires(LocalCtx& c, H d) { c.arg<opv::READ>(d); };
+template <class H>
+concept CtxUnspelledIndirectOk =
+    requires(LocalCtx& c, H d, LocalCtx::MapHandle m) { c.arg<opv::READ>(d, 0, m); };
+static_assert(!CtxUnspelledDirectOk<LocalCtx::DatHandle<double>> &&
+              !CtxUnspelledIndirectOk<LocalCtx::DatHandle<double>>);
+static_assert(CtxUnspelledDirectOk<LocalCtx::FixedDatHandle<double, 2>> &&
+              CtxUnspelledIndirectOk<LocalCtx::FixedDatHandle<double, 2>>);
 
 // ---- compile-time conflict classification ----------------------------------
 
-using DirectRead = Arg<double, opv::READ, kDynDim, false>;
-using IndirectInc = Arg<double, opv::INC, kDynDim, true>;
-using IndirectRead = Arg<double, opv::READ, kDynDim, true>;
-using StaticInc = Arg<double, opv::INC, 4, true>;
+using DirectRead = Arg<double, opv::READ, 1, false>;
+using IndirectInc = Arg<double, opv::INC, 1, true>;
+using IndirectRead = Arg<double, opv::READ, 1, true>;
+using WideInc = Arg<double, opv::INC, 4, true>;
 using GblSum = ArgGbl<double, opv::INC>;
 using GblCoef = ArgGbl<double, opv::READ>;
 
-static_assert(arg_traits<StaticInc>::dim == 4 && arg_traits<IndirectInc>::dim == kDynDim);
-static_assert(arg_traits<StaticInc>::conflicting, "Dim does not change conflict class");
-static_assert(all_static_dim_v<StaticInc, GblSum>);
-static_assert(!all_static_dim_v<StaticInc, IndirectRead>);
+static_assert(arg_traits<WideInc>::dim == 4 && arg_traits<IndirectInc>::dim == 1);
+static_assert(arg_traits<WideInc>::conflicting, "Dim does not change conflict class");
 
 static_assert(!arg_traits<DirectRead>::conflicting);
 static_assert(arg_traits<IndirectInc>::conflicting);
@@ -129,9 +129,9 @@ struct Fixture {
   }
 };
 
-// ---- Loop handle equivalence with one-shot par_loop -------------------------
+// ---- Loop handle equivalence with a fresh handle per run --------------------
 
-TEST(LoopHandle, RepeatedRunsMatchOneShotParLoop) {
+TEST(LoopHandle, RepeatedRunsMatchFreshHandles) {
   const std::vector<ExecConfig> cfgs = {
       {.backend = Backend::Seq},
       {.backend = Backend::OpenMP, .nthreads = 3},
@@ -145,17 +145,20 @@ TEST(LoopHandle, RepeatedRunsMatchOneShotParLoop) {
     SCOPED_TRACE(cfg.to_string());
     Fixture a, b;
 
-    // One-shot reference: call par_loop three times.
-    for (int it = 0; it < 3; ++it)
-      par_loop(EdgeKernel{}, "lh_free", a.edges, cfg, arg<opv::READ>(a.q, 0, a.e2c),
-               arg<opv::READ>(a.q, 1, a.e2c), arg<opv::READ>(a.w),
-               arg<opv::INC>(a.r, 0, a.e2c), arg<opv::INC>(a.r, 1, a.e2c),
-               arg_gbl<opv::INC>(&a.gsum, 1));
+    // Reference: a throwaway handle built and run once per iteration.
+    for (int it = 0; it < 3; ++it) {
+      Loop(EdgeKernel{}, "lh_free", a.edges, arg<opv::READ, 1>(a.q, 0, a.e2c),
+           arg<opv::READ, 1>(a.q, 1, a.e2c), arg<opv::READ, 1>(a.w),
+           arg<opv::INC, 1>(a.r, 0, a.e2c), arg<opv::INC, 1>(a.r, 1, a.e2c),
+           arg_gbl<opv::INC>(&a.gsum, 1))
+          .run(cfg);
+    }
 
     // Handle: construct once, run three times.
-    Loop loop(EdgeKernel{}, std::string("lh_handle"), b.edges, arg<opv::READ>(b.q, 0, b.e2c),
-              arg<opv::READ>(b.q, 1, b.e2c), arg<opv::READ>(b.w), arg<opv::INC>(b.r, 0, b.e2c),
-              arg<opv::INC>(b.r, 1, b.e2c), arg_gbl<opv::INC>(&b.gsum, 1));
+    Loop loop(EdgeKernel{}, std::string("lh_handle"), b.edges, arg<opv::READ, 1>(b.q, 0, b.e2c),
+              arg<opv::READ, 1>(b.q, 1, b.e2c), arg<opv::READ, 1>(b.w),
+              arg<opv::INC, 1>(b.r, 0, b.e2c), arg<opv::INC, 1>(b.r, 1, b.e2c),
+              arg_gbl<opv::INC>(&b.gsum, 1));
     static_assert(decltype(loop)::has_inc);
     static_assert(decltype(loop)::has_gbl_reduction);
     for (int it = 0; it < 3; ++it) loop.run(cfg);
@@ -170,9 +173,10 @@ TEST(LoopHandle, RepeatedRunsMatchOneShotParLoop) {
 
 TEST(LoopHandle, PlanPointerStableAcrossRuns) {
   Fixture f;
-  Loop loop(EdgeKernel{}, std::string("lh_plan"), f.edges, arg<opv::READ>(f.q, 0, f.e2c),
-            arg<opv::READ>(f.q, 1, f.e2c), arg<opv::READ>(f.w), arg<opv::INC>(f.r, 0, f.e2c),
-            arg<opv::INC>(f.r, 1, f.e2c), arg_gbl<opv::INC>(&f.gsum, 1));
+  Loop loop(EdgeKernel{}, std::string("lh_plan"), f.edges, arg<opv::READ, 1>(f.q, 0, f.e2c),
+            arg<opv::READ, 1>(f.q, 1, f.e2c), arg<opv::READ, 1>(f.w),
+            arg<opv::INC, 1>(f.r, 0, f.e2c), arg<opv::INC, 1>(f.r, 1, f.e2c),
+            arg_gbl<opv::INC>(&f.gsum, 1));
   const ExecConfig cfg{.backend = Backend::Simd, .simd_width = 4};
   loop.run(cfg);
   const Plan* p1 = loop.plan(cfg);
@@ -199,7 +203,7 @@ TEST(LoopHandle, PlanPointerStableAcrossRuns) {
 TEST(LoopHandle, DirectLoopNeedsNoPlan) {
   Fixture f;
   Loop loop([](const auto* a, auto* b) { b[0] = a[0]; }, std::string("lh_direct"), f.cells,
-            arg<opv::READ>(f.q), arg<opv::WRITE>(f.r));
+            arg<opv::READ, 1>(f.q), arg<opv::WRITE, 1>(f.r));
   static_assert(!decltype(loop)::has_inc);
   const ExecConfig cfg{.backend = Backend::Simd};
   loop.run(cfg);
@@ -212,9 +216,10 @@ TEST(LoopHandle, DirectLoopNeedsNoPlan) {
 TEST(LoopHandle, StatsAccumulateAcrossRuns) {
   Fixture f;
   StatsRegistry::instance().clear();
-  Loop loop(EdgeKernel{}, std::string("lh_stats"), f.edges, arg<opv::READ>(f.q, 0, f.e2c),
-            arg<opv::READ>(f.q, 1, f.e2c), arg<opv::READ>(f.w), arg<opv::INC>(f.r, 0, f.e2c),
-            arg<opv::INC>(f.r, 1, f.e2c), arg_gbl<opv::INC>(&f.gsum, 1));
+  Loop loop(EdgeKernel{}, std::string("lh_stats"), f.edges, arg<opv::READ, 1>(f.q, 0, f.e2c),
+            arg<opv::READ, 1>(f.q, 1, f.e2c), arg<opv::READ, 1>(f.w),
+            arg<opv::INC, 1>(f.r, 0, f.e2c), arg<opv::INC, 1>(f.r, 1, f.e2c),
+            arg_gbl<opv::INC>(&f.gsum, 1));
   const ExecConfig cfg{.backend = Backend::Seq};
   loop.run(cfg);
   loop.run(cfg);
@@ -239,12 +244,14 @@ TEST(LoopHandle, AutoBlockSizeSettlesAndStaysCorrect) {
   const ExecConfig autob{.backend = Backend::OpenMP, .block_size = ExecConfig::kAuto,
                          .nthreads = 2};
 
-  Loop ref(EdgeKernel{}, std::string("lh_fixed"), a.edges, arg<opv::READ>(a.q, 0, a.e2c),
-           arg<opv::READ>(a.q, 1, a.e2c), arg<opv::READ>(a.w), arg<opv::INC>(a.r, 0, a.e2c),
-           arg<opv::INC>(a.r, 1, a.e2c), arg_gbl<opv::INC>(&a.gsum, 1));
-  Loop tuned(EdgeKernel{}, std::string("lh_auto"), b.edges, arg<opv::READ>(b.q, 0, b.e2c),
-             arg<opv::READ>(b.q, 1, b.e2c), arg<opv::READ>(b.w), arg<opv::INC>(b.r, 0, b.e2c),
-             arg<opv::INC>(b.r, 1, b.e2c), arg_gbl<opv::INC>(&b.gsum, 1));
+  Loop ref(EdgeKernel{}, std::string("lh_fixed"), a.edges, arg<opv::READ, 1>(a.q, 0, a.e2c),
+           arg<opv::READ, 1>(a.q, 1, a.e2c), arg<opv::READ, 1>(a.w),
+           arg<opv::INC, 1>(a.r, 0, a.e2c), arg<opv::INC, 1>(a.r, 1, a.e2c),
+           arg_gbl<opv::INC>(&a.gsum, 1));
+  Loop tuned(EdgeKernel{}, std::string("lh_auto"), b.edges, arg<opv::READ, 1>(b.q, 0, b.e2c),
+             arg<opv::READ, 1>(b.q, 1, b.e2c), arg<opv::READ, 1>(b.w),
+             arg<opv::INC, 1>(b.r, 0, b.e2c), arg<opv::INC, 1>(b.r, 1, b.e2c),
+             arg_gbl<opv::INC>(&b.gsum, 1));
 
   // Every tuning run is a real execution: after N runs both loops must have
   // done identical work (same increments, different summation order only).
@@ -278,7 +285,7 @@ TEST(LoopHandle, AutoBlockSizeSettlesAndStaysCorrect) {
 TEST(LoopHandle, AutoBlockSizeWithoutPlanFallsBack) {
   Fixture f;
   Loop loop([](const auto* a, auto* b) { b[0] = a[0]; }, std::string("lh_auto_direct"),
-            f.cells, arg<opv::READ>(f.q), arg<opv::WRITE>(f.r));
+            f.cells, arg<opv::READ, 1>(f.q), arg<opv::WRITE, 1>(f.r));
   const ExecConfig cfg{.backend = Backend::OpenMP, .block_size = ExecConfig::kAuto};
   loop.run(cfg);
   loop.run(cfg);
@@ -288,30 +295,32 @@ TEST(LoopHandle, AutoBlockSizeWithoutPlanFallsBack) {
   for (idx_t c = 0; c < f.cells.size(); ++c) ASSERT_EQ(f.r.at(c), f.q.at(c));
 }
 
-// ---- legacy call-shape compatibility ---------------------------------------
-
-TEST(LoopHandle, TagSpellingBuildsSameDescriptorType) {
-  Fixture f;
-  auto typed = arg<opv::INC>(f.r, 0, f.e2c);
-  auto tagged = arg(f.r, 0, f.e2c, Access::INC);
-  static_assert(std::is_same_v<decltype(typed), decltype(tagged)>,
-                "tag spelling must produce the identical typed descriptor");
-  auto g_typed = arg_gbl<opv::MIN>(&f.gsum, 1);
-  auto g_tagged = arg_gbl(&f.gsum, 1, Access::MIN);
-  static_assert(std::is_same_v<decltype(g_typed), decltype(g_tagged)>);
-}
-
 // Runtime (data-dependent) validation still throws.
 TEST(LoopHandle, RuntimeValidationStillThrows) {
   Fixture f;
-  EXPECT_THROW(arg<opv::READ>(f.q, 2, f.e2c), Error);   // idx out of range
-  EXPECT_THROW(arg<opv::READ>(f.w, 0, f.e2c), Error);   // dat not on target set
-  EXPECT_THROW(arg_gbl<opv::INC>(&f.gsum, 0), Error);   // dim < 1
-  EXPECT_THROW(arg_gbl<opv::INC>(&f.gsum, 9), Error);   // dim > 8
+  EXPECT_THROW((arg<opv::READ, 1>(f.q, 2, f.e2c)), Error);  // idx out of range
+  EXPECT_THROW((arg<opv::READ, 1>(f.w, 0, f.e2c)), Error);  // dat not on target set
+  EXPECT_THROW(arg_gbl<opv::INC>(&f.gsum, 0), Error);       // dim < 1
+  EXPECT_THROW(arg_gbl<opv::INC>(&f.gsum, 9), Error);       // dim > 8
   // Descriptor Dim vs a runtime-dimensioned dat is checked at construction.
-  EXPECT_THROW((arg<opv::READ, 2>(f.q)), Error);           // q has dim 1
+  EXPECT_THROW((arg<opv::READ, 2>(f.q)), Error);  // q has dim 1
   EXPECT_THROW((arg<opv::READ, 3>(f.q, 0, f.e2c)), Error);
   EXPECT_NO_THROW((arg<opv::READ, 1>(f.q)));
+}
+
+// A spelled Dim that contradicts a plain Dat's declared dim throws, through
+// opv:: and through LocalCtx.
+TEST(LoopHandle, SpelledDimMismatchThrows) {
+  Set cells("cells", 12);
+  Dat<double> d4("d4", cells, 4);
+  EXPECT_THROW((arg<opv::READ, 3>(d4)), Error);
+  EXPECT_NO_THROW((arg<opv::READ, 4>(d4)));
+
+  LocalCtx ctx;
+  auto s = ctx.decl_set("cells", 12);
+  auto h4 = ctx.decl_dat<double>("h4", s, 4);
+  EXPECT_THROW((ctx.arg<opv::READ, 3>(h4)), Error);
+  EXPECT_NO_THROW((ctx.arg<opv::READ, 4>(h4)));
 }
 
 // ---- compile-time Dim: mixed spellings ---------------------------------------
@@ -338,17 +347,20 @@ struct MixFixture {
   Dat<double> x{"x", nodes, 2, m.node_xy};
   Dat<double> r{"r", cells, 1};
   Dat<double> w{"w", edges, 1};
+  // FixedDat twins of x, r and w (same values; arity in the type).
+  FixedDat<double, 2> fx{"fx", nodes, m.node_xy};
+  FixedDat<double, 1> fr{"fr", cells};
+  FixedDat<double, 1> fw{"fw", edges};
 
   MixFixture() {
     Rng rng(7);
-    for (idx_t e = 0; e < edges.size(); ++e) w.at(e) = rng.uniform(0.1, 1.0);
+    for (idx_t e = 0; e < edges.size(); ++e) fw.at(e) = w.at(e) = rng.uniform(0.1, 1.0);
   }
 };
 
-/// One loop mixing typed-Dim and runtime-dim descriptors must produce
-/// results bitwise identical to the all-runtime baseline: Dim changes code
-/// shape (unrolled vs looped), never arithmetic order.
-TEST(LoopHandle, MixedDimSpellingsBitwiseMatchRuntimeBaseline) {
+/// A FixedDat deduces the Dim a plain Dat spells: both spellings build the
+/// same Loop type and therefore bitwise-identical results on every backend.
+TEST(LoopHandle, FixedDatDeducesSpelledDim) {
   const std::vector<ExecConfig> cfgs = {
       {.backend = Backend::Seq},
       {.backend = Backend::OpenMP, .nthreads = 2},
@@ -358,60 +370,48 @@ TEST(LoopHandle, MixedDimSpellingsBitwiseMatchRuntimeBaseline) {
   };
   for (const auto& cfg : cfgs) {
     SCOPED_TRACE(cfg.to_string());
-    MixFixture a, b, c;
+    MixFixture f;
 
-    // Baseline: every descriptor runtime-dim.
-    Loop rt(MixKernel{}, std::string("mix_rt"), a.edges, arg<opv::READ>(a.x, 0, a.e2n),
-            arg<opv::READ>(a.x, 1, a.e2n), arg<opv::READ>(a.w), arg<opv::INC>(a.r, 0, a.e2c),
-            arg<opv::INC>(a.r, 1, a.e2c));
-
-    // Mixed: typed Dim on some args, runtime on the rest.
-    Loop mix(MixKernel{}, std::string("mix_mixed"), b.edges, arg<opv::READ, 2>(b.x, 0, b.e2n),
-             arg<opv::READ>(b.x, 1, b.e2n), arg<opv::READ, 1>(b.w),
-             arg<opv::INC>(b.r, 0, b.e2c), arg<opv::INC, 1>(b.r, 1, b.e2c));
-
-    // Fully typed: every descriptor compile-time-Dim.
-    Loop st(MixKernel{}, std::string("mix_static"), c.edges, arg<opv::READ, 2>(c.x, 0, c.e2n),
-            arg<opv::READ, 2>(c.x, 1, c.e2n), arg<opv::READ, 1>(c.w),
-            arg<opv::INC, 1>(c.r, 0, c.e2c), arg<opv::INC, 1>(c.r, 1, c.e2c));
-
-    static_assert(!std::is_same_v<decltype(rt), decltype(mix)> &&
-                      !std::is_same_v<decltype(mix), decltype(st)>,
-                  "Dim is part of the Loop type");
+    Loop spelled(MixKernel{}, std::string("dim_spelled"), f.edges,
+                 arg<opv::READ, 2>(f.x, 0, f.e2n), arg<opv::READ, 2>(f.x, 1, f.e2n),
+                 arg<opv::READ, 1>(f.w), arg<opv::INC, 1>(f.r, 0, f.e2c),
+                 arg<opv::INC, 1>(f.r, 1, f.e2c));
+    Loop deduced(MixKernel{}, std::string("dim_deduced"), f.edges, arg<opv::READ>(f.fx, 0, f.e2n),
+                 arg<opv::READ>(f.fx, 1, f.e2n), arg<opv::READ>(f.fw),
+                 arg<opv::INC>(f.fr, 0, f.e2c), arg<opv::INC>(f.fr, 1, f.e2c));
+    static_assert(std::is_same_v<decltype(spelled), decltype(deduced)>,
+                  "a deduced Dim builds the same Loop type as a spelled one");
 
     for (int it = 0; it < 3; ++it) {
-      rt.run(cfg);
-      mix.run(cfg);
-      st.run(cfg);
+      spelled.run(cfg);
+      deduced.run(cfg);
     }
-    for (idx_t i = 0; i < a.cells.size(); ++i) {
-      ASSERT_EQ(a.r.at(i), b.r.at(i)) << "mixed vs runtime, cell " << i;
-      ASSERT_EQ(a.r.at(i), c.r.at(i)) << "static vs runtime, cell " << i;
-    }
+    for (idx_t i = 0; i < f.cells.size(); ++i)
+      ASSERT_EQ(f.r.at(i), f.fr.at(i)) << "deduced vs spelled, cell " << i;
   }
 }
 
 // ---- kAuto tuning is pinned per handle, not per kernel/set -------------------
 
-/// Re-templating a loop (here: migrating its args to typed Dim, which
-/// changes the Loop type and the generated code) must yield a handle that
-/// re-tunes from scratch — a stale block-size pin measured on the old
-/// instantiation must not be inherited.
+/// Re-templating a loop (here: widening the weight argument from READ to
+/// RW, which changes the Loop type and the generated code) must yield a
+/// handle that re-tunes from scratch — a stale block-size pin measured on
+/// the old instantiation must not be inherited.
 TEST(LoopHandle, RetypedHandleReTunes) {
   MixFixture a, b;
   const ExecConfig autob{.backend = Backend::OpenMP, .block_size = ExecConfig::kAuto,
                          .nthreads = 2};
 
-  Loop rt(MixKernel{}, std::string("retune_rt"), a.edges, arg<opv::READ>(a.x, 0, a.e2n),
-          arg<opv::READ>(a.x, 1, a.e2n), arg<opv::READ>(a.w), arg<opv::INC>(a.r, 0, a.e2c),
-          arg<opv::INC>(a.r, 1, a.e2c));
+  Loop rt(MixKernel{}, std::string("retune_rt"), a.edges, arg<opv::READ, 2>(a.x, 0, a.e2n),
+          arg<opv::READ, 2>(a.x, 1, a.e2n), arg<opv::READ, 1>(a.w),
+          arg<opv::INC, 1>(a.r, 0, a.e2c), arg<opv::INC, 1>(a.r, 1, a.e2c));
   const int settle_runs = 6 * 2 + 1;  // candidates x reps, then settled
   for (int it = 0; it < settle_runs; ++it) rt.run(autob);
   ASSERT_NE(rt.tuned_block_size(), 0) << "baseline handle should have settled";
 
   // The retyped handle starts untuned: no pin carries over.
   Loop st(MixKernel{}, std::string("retune_st"), b.edges, arg<opv::READ, 2>(b.x, 0, b.e2n),
-          arg<opv::READ, 2>(b.x, 1, b.e2n), arg<opv::READ, 1>(b.w),
+          arg<opv::READ, 2>(b.x, 1, b.e2n), arg<opv::RW, 1>(b.w),
           arg<opv::INC, 1>(b.r, 0, b.e2c), arg<opv::INC, 1>(b.r, 1, b.e2c));
   static_assert(!std::is_same_v<decltype(rt), decltype(st)>);
   EXPECT_EQ(st.tuned_block_size(), 0) << "fresh (retyped) handle must not inherit a pin";
@@ -443,12 +443,12 @@ TEST(LoopSlice, DirectSliceCoverBitwiseMatchesFullRun) {
     SCOPED_TRACE(backend_name(b));
     const ExecConfig cfg{.backend = b, .nthreads = 2};
     Fixture full, sliced;
-    Loop ref(ScaleKernel{}, "slice_direct_full", full.cells, opv::arg<opv::READ>(full.q),
-             opv::arg<opv::WRITE>(full.r));
+    Loop ref(ScaleKernel{}, "slice_direct_full", full.cells, opv::arg<opv::READ, 1>(full.q),
+             opv::arg<opv::WRITE, 1>(full.r));
     ref.run(cfg);
 
-    Loop loop(ScaleKernel{}, "slice_direct", sliced.cells, opv::arg<opv::READ>(sliced.q),
-              opv::arg<opv::WRITE>(sliced.r));
+    Loop loop(ScaleKernel{}, "slice_direct", sliced.cells, opv::arg<opv::READ, 1>(sliced.q),
+              opv::arg<opv::WRITE, 1>(sliced.r));
     aligned_vector<idx_t> evens, odds;
     for (idx_t c = 0; c < sliced.cells.size(); ++c) (c % 2 ? odds : evens).push_back(c);
     auto s_even = loop.make_slice(std::move(evens));
@@ -489,8 +489,8 @@ TEST(LoopSlice, ConflictedSlicesExecuteEachElementExactlyOnce) {
         .backend = c.backend, .coloring = c.coloring, .block_size = 64, .nthreads = 4};
     Fixture f;
     for (idx_t i = 0; i < f.cells.size(); ++i) f.r.at(i) = 0.0;
-    Loop loop(DegreeKernel{}, "slice_degree", f.edges, opv::arg<opv::INC>(f.r, 0, f.e2c),
-              opv::arg<opv::INC>(f.r, 1, f.e2c));
+    Loop loop(DegreeKernel{}, "slice_degree", f.edges, opv::arg<opv::INC, 1>(f.r, 0, f.e2c),
+              opv::arg<opv::INC, 1>(f.r, 1, f.e2c));
     static_assert(decltype(loop)::has_inc);
 
     aligned_vector<idx_t> evens, odds;
@@ -543,7 +543,7 @@ TEST(LoopSlice, GlobalReductionsAccumulateAcrossSlices) {
     SCOPED_TRACE(backend_name(b));
     Fixture f;
     double count = 0.0, gmin = 1e300;
-    Loop loop(CountMinKernel{}, "slice_gbl", f.cells, opv::arg<opv::READ>(f.q),
+    Loop loop(CountMinKernel{}, "slice_gbl", f.cells, opv::arg<opv::READ, 1>(f.q),
               opv::arg_gbl<opv::INC>(&count, 1), opv::arg_gbl<opv::MIN>(&gmin, 1));
     aligned_vector<idx_t> lo, hi;
     for (idx_t c = 0; c < f.cells.size(); ++c) (c < f.cells.size() / 3 ? lo : hi).push_back(c);
@@ -582,20 +582,20 @@ TEST(LoopSlice, HaloElementsRejectedForGlobalReductionLoops) {
   Dat<double> r{"r", cells, 1};
   double g = 0.0;
 
-  Loop with_gbl(DegreeCountKernel{}, "slice_gblhalo", edges, opv::arg<opv::INC>(r, 0, e2c),
-                opv::arg<opv::INC>(r, 1, e2c), opv::arg_gbl<opv::INC>(&g, 1));
+  Loop with_gbl(DegreeCountKernel{}, "slice_gblhalo", edges, opv::arg<opv::INC, 1>(r, 0, e2c),
+                opv::arg<opv::INC, 1>(r, 1, e2c), opv::arg_gbl<opv::INC>(&g, 1));
   EXPECT_NO_THROW(with_gbl.make_slice({0, 3}));
   EXPECT_THROW(with_gbl.make_slice({4}), Error) << "halo element must be rejected";
 
-  Loop no_gbl(DegreeKernel{}, "slice_halo", edges, opv::arg<opv::INC>(r, 0, e2c),
-              opv::arg<opv::INC>(r, 1, e2c));
+  Loop no_gbl(DegreeKernel{}, "slice_halo", edges, opv::arg<opv::INC, 1>(r, 0, e2c),
+              opv::arg<opv::INC, 1>(r, 1, e2c));
   EXPECT_NO_THROW(no_gbl.make_slice({4, 5})) << "without a reduction the exec halo is legal";
 }
 
 TEST(LoopSlice, OutOfRangeSliceElementThrows) {
   Fixture f;
-  Loop loop(ScaleKernel{}, "slice_range", f.cells, opv::arg<opv::READ>(f.q),
-            opv::arg<opv::WRITE>(f.r));
+  Loop loop(ScaleKernel{}, "slice_range", f.cells, opv::arg<opv::READ, 1>(f.q),
+            opv::arg<opv::WRITE, 1>(f.r));
   EXPECT_THROW(loop.make_slice({f.cells.size()}), Error);
   EXPECT_THROW(loop.make_slice({idx_t(-1)}), Error);
   EXPECT_NO_THROW(loop.make_slice({}));
@@ -611,8 +611,8 @@ TEST(LoopHandle, LocalCtxMakeLoopFollowsContextConfig) {
   aligned_vector<double> qi(m.ncells, 2.0);
   auto q = ctx.decl_dat<double>("q", cells, 1, qi);
   auto r = ctx.decl_dat<double>("r", cells, 1);
-  auto loop = ctx.make_loop(ScaleKernel{}, "mk_local", cells, ctx.arg<opv::READ>(q),
-                            ctx.arg<opv::WRITE>(r));
+  auto loop = ctx.make_loop(ScaleKernel{}, "mk_local", cells, ctx.arg<opv::READ, 1>(q),
+                            ctx.arg<opv::WRITE, 1>(r));
   loop.run();
   aligned_vector<double> out;
   ctx.fetch(r, out);

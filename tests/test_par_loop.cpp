@@ -120,25 +120,24 @@ Result run_all(Fixture& f, const ExecConfig& cfg) {
   r.gmin = 1e300;
   r.gmax = -1e300;
 
-  par_loop(IndirectIncKernel{}, "t_inc", f.edges, cfg, arg(f.x, 0, f.e2n, Access::READ),
-           arg(f.x, 1, f.e2n, Access::READ), arg(f.w, Access::READ),
-           arg(f.acc, 0, f.e2c, Access::INC), arg(f.acc, 1, f.e2c, Access::INC),
-           arg_gbl(&r.gsum, 1, Access::INC));
+  Loop(IndirectIncKernel{}, "t_inc", f.edges, arg<opv::READ, 2>(f.x, 0, f.e2n),
+       arg<opv::READ, 2>(f.x, 1, f.e2n), arg<opv::READ, 1>(f.w), arg<opv::INC, 2>(f.acc, 0, f.e2c),
+       arg<opv::INC, 2>(f.acc, 1, f.e2c), arg_gbl<opv::INC>(&r.gsum, 1)).run(cfg);
 
-  par_loop(DirectKernel{}, "t_direct", f.cells, cfg, arg(f.direct_a, Access::READ),
-           arg(f.direct_b, Access::WRITE), arg(f.direct_c, Access::RW),
-           arg_gbl(&r.gmin, 1, Access::MIN), arg_gbl(&r.gmax, 1, Access::MAX));
+  Loop(DirectKernel{}, "t_direct", f.cells, arg<opv::READ, 2>(f.direct_a),
+       arg<opv::WRITE, 2>(f.direct_b), arg<opv::RW, 1>(f.direct_c), arg_gbl<opv::MIN>(&r.gmin, 1),
+       arg_gbl<opv::MAX>(&r.gmax, 1)).run(cfg);
 
-  par_loop(GatherOnlyKernel{}, "t_gather", f.cells, cfg, arg(f.x, 0, f.c2n, Access::READ),
-           arg(f.x, 1, f.c2n, Access::READ), arg(f.x, 2, f.c2n, Access::READ),
-           arg(f.adt, Access::WRITE));
+  Loop(GatherOnlyKernel{}, "t_gather", f.cells, arg<opv::READ, 2>(f.x, 0, f.c2n),
+       arg<opv::READ, 2>(f.x, 1, f.c2n), arg<opv::READ, 2>(f.x, 2, f.c2n),
+       arg<opv::WRITE, 1>(f.adt)).run(cfg);
 
-  par_loop(IntReadKernel{}, "t_int", f.cells, cfg, arg(f.direct_a, Access::READ),
-           arg(f.acc, Access::INC), arg(f.flag, Access::READ));
+  Loop(IntReadKernel{}, "t_int", f.cells, arg<opv::READ, 2>(f.direct_a), arg<opv::INC, 2>(f.acc),
+       arg<opv::READ, 1>(f.flag)).run(cfg);
 
   double coef[2] = {2.0, 0.5};
-  par_loop(GblReadKernel{}, "t_gblread", f.cells, cfg, arg(f.direct_a, Access::READ),
-           arg(f.direct_b, Access::RW), arg_gbl(coef, 2, Access::READ));
+  Loop(GblReadKernel{}, "t_gblread", f.cells, arg<opv::READ, 2>(f.direct_a),
+       arg<opv::RW, 2>(f.direct_b), arg_gbl<opv::READ>(coef, 2)).run(cfg);
 
   r.acc.assign(f.acc.data(), f.acc.data() + f.acc.size());
   r.b.assign(f.direct_b.data(), f.direct_b.data() + f.direct_b.size());
@@ -256,9 +255,8 @@ TEST(FloatLoops, VectorizedMatchesSeq) {
   };
   auto run = [&](ExecConfig cfg) {
     r.fill(0.0f);
-    par_loop(edge_k, "f_edge", edges, cfg, arg(q, 0, e2c, Access::READ),
-             arg(q, 1, e2c, Access::READ), arg(w, Access::READ), arg(r, 0, e2c, Access::INC),
-             arg(r, 1, e2c, Access::INC));
+    Loop(edge_k, "f_edge", edges, arg<opv::READ, 1>(q, 0, e2c), arg<opv::READ, 1>(q, 1, e2c),
+         arg<opv::READ, 1>(w), arg<opv::INC, 1>(r, 0, e2c), arg<opv::INC, 1>(r, 1, e2c)).run(cfg);
     return aligned_vector<float>(r.data(), r.data() + r.size());
   };
   const auto ref = run({.backend = Backend::Seq});
@@ -296,10 +294,10 @@ TEST(ArgValidation, RejectsBadArguments) {
   // combinations (MIN/MAX on a dataset, WRITE/RW on a global) are now
   // compile errors — see the static_asserts in test_loop_handle.cpp.
   Fixture f;
-  EXPECT_THROW(arg(f.x, 2, f.e2n, Access::READ), Error);   // idx out of range
-  EXPECT_THROW(arg(f.w, 0, f.e2n, Access::READ), Error);   // dat not on target set
+  EXPECT_THROW((arg<opv::READ, 2>(f.x, 2, f.e2n)), Error);  // idx out of range
+  EXPECT_THROW((arg<opv::READ, 1>(f.w, 0, f.e2n)), Error);  // dat not on target set
   double g = 0;
-  EXPECT_THROW(arg_gbl(&g, 0, Access::INC), Error);        // dim < 1
+  EXPECT_THROW(arg_gbl<opv::INC>(&g, 0), Error);  // dim < 1
 }
 
 TEST(ArgValidation, MapRejectsOutOfRangeEntries) {
@@ -313,19 +311,20 @@ TEST(EmptySet, LoopIsNoop) {
   Set empty("empty", 0);
   Dat<double> d("d", empty, 1);
   double g = 0;
-  EXPECT_NO_THROW(par_loop([](const auto* x, auto* gg) { gg[0] += x[0]; }, "empty_loop", empty,
-                           ExecConfig{.backend = Backend::Simd}, arg(d, Access::READ),
-                           arg_gbl(&g, 1, Access::INC)));
+  EXPECT_NO_THROW(Loop([](const auto* x, auto* gg) { gg[0] += x[0]; }, "empty_loop", empty,
+                       arg<opv::READ, 1>(d),
+                       arg_gbl<opv::INC>(&g, 1)).run(ExecConfig{.backend = Backend::Simd}));
   EXPECT_EQ(g, 0.0);
 }
 
-TEST(DefaultConfig, TwoArgOverloadUsesIt) {
+TEST(DefaultConfig, RunWithoutConfigUsesIt) {
   Fixture f;
   default_config() = ExecConfig{.backend = Backend::Seq};
   f.adt.fill(0.0);
-  par_loop(GatherOnlyKernel{}, "t_gather_default", f.cells, arg(f.x, 0, f.c2n, Access::READ),
-           arg(f.x, 1, f.c2n, Access::READ), arg(f.x, 2, f.c2n, Access::READ),
-           arg(f.adt, Access::WRITE));
+  Loop(GatherOnlyKernel{}, "t_gather_default", f.cells, arg<opv::READ, 2>(f.x, 0, f.c2n),
+       arg<opv::READ, 2>(f.x, 1, f.c2n), arg<opv::READ, 2>(f.x, 2, f.c2n),
+       arg<opv::WRITE, 1>(f.adt))
+      .run();
   EXPECT_GT(f.adt.at(0), 0.0);
   default_config() = ExecConfig{};
 }

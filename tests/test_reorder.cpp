@@ -112,21 +112,21 @@ class ManualRelayoutCtx {
 
   void finalize() { inner_->finalize(); }
 
-  template <AccessMode A, int Dim = kDynDim, class T>
+  template <AccessMode A, int Dim, class T>
   auto arg(DatHandle<T> d, int idx, MapHandle m) {
     return inner_->template arg<A, Dim>(d.inner, idx, m);
   }
-  template <AccessMode A, int Dim = kDynDim, class T>
+  template <AccessMode A, int Dim, class T>
   auto arg(DatHandle<T> d) {
     return inner_->template arg<A, Dim>(d.inner);
   }
-  template <AccessMode A, int Dim = kDynDim, class T, int N>
+  template <AccessMode A, class T, int N>
   auto arg(FixedDatHandle<T, N> d, int idx, MapHandle m) {
-    return inner_->template arg<A, Dim>(d.inner, idx, m);
+    return inner_->template arg<A>(d.inner, idx, m);
   }
-  template <AccessMode A, int Dim = kDynDim, class T, int N>
+  template <AccessMode A, class T, int N>
   auto arg(FixedDatHandle<T, N> d) {
-    return inner_->template arg<A, Dim>(d.inner);
+    return inner_->template arg<A>(d.inner);
   }
   template <AccessMode A, class T>
   auto arg_gbl(T* p, int dim) {
@@ -292,7 +292,7 @@ TEST(LocalRenumber, RejectedOnceALoopRan) {
   auto edges = ctx.decl_set("edges", m.nedges);
   ctx.decl_map("pecell", edges, cells, 2, m.edge_cells);
   auto d = ctx.decl_dat<double>("d", cells, 1);
-  ctx.loop(SetOneKernel{}, "set_one", cells, ctx.arg<opv::WRITE, 1>(d));
+  ctx.make_loop(SetOneKernel{}, "set_one", cells, ctx.arg<opv::WRITE, 1>(d)).run();
   EXPECT_THROW(ctx.renumber(cells), Error);
 }
 

@@ -42,8 +42,8 @@ TEST(SimtBackend, ColoredIncrementWithHeavyConflicts) {
   auto run = [&](ExecConfig cfg) {
     hub.fill(0.0);
     double gsum = 0.0;
-    par_loop(StarKernel{}, "star", elems, cfg, arg<opv::READ>(w),
-             arg<opv::INC>(hub, 0, m), arg_gbl<opv::INC>(&gsum, 1));
+    Loop(StarKernel{}, "star", elems, arg<opv::READ, 1>(w), arg<opv::INC, 1>(hub, 0, m),
+         arg_gbl<opv::INC>(&gsum, 1)).run(cfg);
     aligned_vector<double> out(hub.data(), hub.data() + nhubs);
     out.push_back(gsum);
     return out;
@@ -77,12 +77,10 @@ TEST(SimtBackend, DeterministicAcrossRepeatedRuns) {
   };
   const ExecConfig cfg{.backend = Backend::Simt, .simd_width = 8, .nthreads = 8};
   aligned_vector<double> first;
-  // Explicit-template spelling of the typed arg API (equivalent to tags).
   for (int rep = 0; rep < 5; ++rep) {
     r.fill(0.0);
-    par_loop(edge_k, "det", edges, cfg, arg<opv::READ>(q, 0, e2c),
-             arg<opv::READ>(q, 1, e2c), arg<opv::INC>(r, 0, e2c),
-             arg<opv::INC>(r, 1, e2c));
+    Loop(edge_k, "det", edges, arg<opv::READ, 1>(q, 0, e2c), arg<opv::READ, 1>(q, 1, e2c),
+         arg<opv::INC, 1>(r, 0, e2c), arg<opv::INC, 1>(r, 1, e2c)).run(cfg);
     if (rep == 0) {
       first.assign(r.data(), r.data() + r.size());
     } else {
@@ -107,9 +105,8 @@ TEST(SimtBackend, BlockSizeNotMultipleOfWidth) {
   };
   auto run = [&](ExecConfig cfg) {
     r.fill(0.0);
-    par_loop(edge_k, "tails", edges, cfg, arg(q, 0, e2c, Access::READ),
-             arg(q, 1, e2c, Access::READ), arg(r, 0, e2c, Access::INC),
-             arg(r, 1, e2c, Access::INC));
+    Loop(edge_k, "tails", edges, arg<opv::READ, 1>(q, 0, e2c), arg<opv::READ, 1>(q, 1, e2c),
+         arg<opv::INC, 1>(r, 0, e2c), arg<opv::INC, 1>(r, 1, e2c)).run(cfg);
     return aligned_vector<double>(r.data(), r.data() + r.size());
   };
   const auto ref = run({.backend = Backend::Seq});
@@ -123,10 +120,9 @@ TEST(SimtBackend, DirectLoopUsesWorkQueue) {
   Set s("s", 10007);  // prime: ragged blocks
   Dat<double> a("a", s, 1), b("b", s, 1);
   for (idx_t i = 0; i < s.size(); ++i) a.at(i) = i * 0.25;
-  par_loop([](const auto* x, auto* y) { y[0] = x[0] + std::decay_t<decltype(y[0])>(1.0); }, "dq",
-           s,
-           ExecConfig{.backend = Backend::Simt, .simd_width = 8, .nthreads = 6},
-           arg(a, Access::READ), arg(b, Access::WRITE));
+  Loop([](const auto* x, auto* y) { y[0] = x[0] + std::decay_t<decltype(y[0])>(1.0); }, "dq", s,
+       arg<opv::READ, 1>(a), arg<opv::WRITE, 1>(b))
+      .run(ExecConfig{.backend = Backend::Simt, .simd_width = 8, .nthreads = 6});
   for (idx_t i = 0; i < s.size(); ++i) ASSERT_EQ(b.at(i), a.at(i) + 1.0) << i;
 }
 
@@ -166,9 +162,8 @@ TEST(Tuner, TunesARealLoop) {
         const ExecConfig cfg{.backend = Backend::Simd, .block_size = bs,
                              .collect_stats = false};
         WallTimer t;
-        par_loop(edge_k, "tune", edges, cfg, arg(q, 0, e2c, Access::READ),
-                 arg(q, 1, e2c, Access::READ), arg(r, 0, e2c, Access::INC),
-                 arg(r, 1, e2c, Access::INC));
+        Loop(edge_k, "tune", edges, arg<opv::READ, 1>(q, 0, e2c), arg<opv::READ, 1>(q, 1, e2c),
+             arg<opv::INC, 1>(r, 0, e2c), arg<opv::INC, 1>(r, 1, e2c)).run(cfg);
         return t.seconds();
       },
       {128, 256, 512}, 2);
