@@ -14,7 +14,9 @@
 // The (2)/(1) ratio is the machine's true vectorization headroom for
 // res_calc; (3)/(1) and (4)/(2) are the abstraction cost of the engine.
 
+#include <algorithm>
 #include <functional>
+#include <vector>
 
 #include "bench_common.hpp"
 
@@ -24,11 +26,23 @@ namespace simd = opv::simd;
 
 namespace {
 
-double time_reps(int reps, const std::function<void()>& fn) {
+/// Per-sweep wall times of one variant: median and spread.
+struct Timing {
+  double median = 0.0, min = 0.0, max = 0.0;
+};
+
+/// One warm-up sweep, then max(reps, 5) individually timed sweeps: the
+/// median is the reading, min-max shows how far a shared host moved it.
+Timing time_reps(int reps, const std::function<void()>& fn) {
   fn();  // warmup
-  WallTimer t;
-  for (int r = 0; r < reps; ++r) fn();
-  return t.seconds() / reps;
+  std::vector<double> s(static_cast<std::size_t>(std::max(reps, 5)));
+  for (double& secs : s) {
+    const WallTimer t;
+    fn();
+    secs = t.seconds();
+  }
+  std::sort(s.begin(), s.end());
+  return {s[s.size() / 2], s.front(), s.back()};
 }
 
 }  // namespace
@@ -55,7 +69,7 @@ int main(int argc, char** argv) {
   airfoil::ResCalc<double> K{consts};
 
   // 1. hand-written scalar stub.
-  const double t_scalar = time_reps(reps, [&] {
+  const Timing t_scalar = time_reps(reps, [&] {
     for (idx_t e = 0; e < ne; ++e)
       K(&x[2 * static_cast<std::size_t>(en[2 * e])], &x[2 * static_cast<std::size_t>(en[2 * e + 1])],
         &q[4 * static_cast<std::size_t>(ec[2 * e])], &q[4 * static_cast<std::size_t>(ec[2 * e + 1])],
@@ -67,7 +81,7 @@ int main(int argc, char** argv) {
   constexpr int W = 4;
   using V = simd::Vec<double, W>;
   using IV = simd::Vec<std::int32_t, W>;
-  const double t_vector = time_reps(reps, [&] {
+  const Timing t_vector = time_reps(reps, [&] {
     idx_t e = 0;
     for (; e + W <= ne; e += W) {
       const IV n0 = IV::strided(en + 2 * e, 2) * IV(2);
@@ -115,13 +129,15 @@ int main(int argc, char** argv) {
               arg<opv::INC, 4>(rd, 1, pecell));
     return time_reps(reps, [&] { loop.run(cfg); });
   };
-  const double t_eng_seq = engine(Backend::Seq);
-  const double t_eng_simd = engine(Backend::Simd);
+  const Timing t_eng_seq = engine(Backend::Seq);
+  const Timing t_eng_simd = engine(Backend::Simd);
 
-  perf::Table t({"variant", "time/sweep (s)", "ns/edge", "vs hand scalar"});
-  auto row = [&](const char* name, double secs) {
-    t.add_row({name, perf::Table::num(secs, 4), perf::Table::num(secs / ne * 1e9, 1),
-               perf::Table::num(t_scalar / secs, 2) + "x"});
+  perf::Table t({"variant", "median s/sweep", "min-max (s)", "ns/edge", "vs hand scalar"});
+  auto row = [&](const char* name, const Timing& secs) {
+    t.add_row({name, perf::Table::num(secs.median, 4),
+               perf::Table::num(secs.min, 4) + "-" + perf::Table::num(secs.max, 4),
+               perf::Table::num(secs.median / ne * 1e9, 1),
+               perf::Table::num(t_scalar.median / secs.median, 2) + "x"});
   };
   row("hand scalar stub (OP2 MPI codegen)", t_scalar);
   row("hand vector stub (OP2 AVX codegen, Fig. 3b)", t_vector);

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Local verification: the tier-1 sequence (configure + build + ctest) plus a
-# smoke run of the dispatch-path microbench, so regressions in the Loop
-# handle's kernel-dispatch path are caught before review.
+# Local verification: the tier-1 sequence (configure + warning-free build +
+# ctest) plus a smoke run of the dispatch-path microbench, so regressions in
+# the Loop handle's kernel-dispatch path are caught before review.
 #
 # Usage: scripts/check.sh [--dist] [--ingest] [--resilience] [--docs]
 #                          [--docs-only] [build-dir]
@@ -107,7 +107,15 @@ echo "== configure =="
 cmake -B "$BUILD" -S "$ROOT"
 
 echo "== build =="
-cmake --build "$BUILD" -j
+# The build is warning-clean: any compiler warning in its log fails the
+# check (an incremental build only shows the files it recompiled; CI builds
+# from scratch).
+BUILD_LOG="$BUILD/build.log"
+cmake --build "$BUILD" -j 2>&1 | tee "$BUILD_LOG"
+if grep -q "warning:" "$BUILD_LOG"; then
+  echo "build FAILED: $(grep -c "warning:" "$BUILD_LOG") compiler warning line(s) in $BUILD_LOG" >&2
+  exit 1
+fi
 
 echo "== ctest =="
 ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)"

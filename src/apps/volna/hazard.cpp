@@ -33,12 +33,14 @@ Backend parse_backend(const std::string& name) {
 
 HazardInstance::HazardInstance(const mesh::UnstructuredMesh& m, const Scenario& sc,
                                const ExecConfig& cfg, bool chain)
-    : sc_(sc), ctx_(cfg), cgeom_(cell_geometry(m)) {
-  app_ = std::make_unique<Volna<float, LocalCtx>>(ctx_, m, sc.depth, sc.amp, sc.width, chain);
-  vol0_ = total_volume(app_->fetch_state(), cgeom_);
-}
+    : HazardInstance(std::make_shared<MeshPart>(), m, sc, cfg, chain) {}
 
-double HazardInstance::volume() { return total_volume(app_->fetch_state(), cgeom_); }
+HazardInstance::HazardInstance(std::shared_ptr<MeshPart> part, const mesh::UnstructuredMesh& m,
+                               const Scenario& sc, const ExecConfig& cfg, bool chain)
+    : sc_(sc), ctx_(std::move(part), cfg) {
+  app_ = std::make_unique<Volna<float, LocalCtx>>(ctx_, m, sc.depth, sc.amp, sc.width, chain);
+  vol0_ = app_->volume();
+}
 
 bool HazardInstance::healthy() { return guard::check_finite(*app_->state_dat()); }
 
@@ -75,9 +77,11 @@ serve::InstanceFactory hazard_factory(const mesh::UnstructuredMesh& m,
   // caller's mesh goes out of scope, and factories outlive add_instances.
   auto mesh = std::make_shared<mesh::UnstructuredMesh>(m);
   auto scenarios = std::make_shared<std::vector<Scenario>>(std::move(sweep));
-  return [mesh, scenarios, cfg, chain](int id) -> std::unique_ptr<serve::Instance> {
+  // Empty until the first instance declares and freezes it.
+  auto part = std::make_shared<MeshPart>();
+  return [mesh, scenarios, part, cfg, chain](int id) -> std::unique_ptr<serve::Instance> {
     const Scenario& sc = (*scenarios)[static_cast<std::size_t>(id) % scenarios->size()];
-    return std::make_unique<HazardInstance>(*mesh, sc, cfg, chain);
+    return std::make_unique<HazardInstance>(part, *mesh, sc, cfg, chain);
   };
 }
 

@@ -41,19 +41,32 @@ Backend parse_backend(const std::string& name);
 
 /// One Volna scenario wrapped as an ensemble instance: owns its LocalCtx
 /// (per-instance ExecConfig lives there) and the Volna driver with its
-/// pinned loop handles. The referenced mesh is only read at construction.
+/// pinned loop handles. The context runs over a MeshPart (core/context.hpp)
+/// that may be shared with other scenarios on the same mesh: the instance
+/// itself holds only the scenario state (`values` and the step globals),
+/// and leases Volna's scratch dats from the part's pool for each step. The
+/// referenced mesh is only read at construction.
 ///
-/// Checkpointable: a checkpoint is the context snapshot (every dat in
-/// declaration-order AoS bytes) plus Volna's step globals (dt / dtmin /
-/// dt_arg), which is the complete evolving state — restore + replay is
-/// bitwise-identical on Seq. healthy() scans the state vector for NaN/Inf.
+/// Checkpointable: a checkpoint is the context snapshot (its state dat,
+/// `values`, in declaration-order AoS bytes) plus Volna's step globals (dt /
+/// dtmin / dt_arg), which is the complete evolving state — restore + replay
+/// is bitwise-identical on Seq. healthy() scans the state vector for
+/// NaN/Inf.
 class HazardInstance final : public serve::Checkpointable {
  public:
+  /// A scenario over a private mesh part.
   HazardInstance(const mesh::UnstructuredMesh& m, const Scenario& sc, const ExecConfig& cfg,
                  bool chain = false);
+  /// A scenario over `part`: declared by this instance if fresh, shared if
+  /// already frozen (then `m` must be the mesh it was declared from).
+  HazardInstance(std::shared_ptr<MeshPart> part, const mesh::UnstructuredMesh& m,
+                 const Scenario& sc, const ExecConfig& cfg, bool chain = false);
 
-  /// One timestep through Volna's own step closure.
-  void step() override { app_->run(1); }
+  /// One timestep through Volna's own step closure, on leased scratch.
+  void step() override {
+    const auto lease = ctx_.lease_scratch();
+    app_->run(1);
+  }
 
   [[nodiscard]] bool healthy() override;
   [[nodiscard]] Checkpoint checkpoint() override;
@@ -62,24 +75,26 @@ class HazardInstance final : public serve::Checkpointable {
   /// Current state vector (global cell order).
   [[nodiscard]] aligned_vector<float> state() { return app_->fetch_state(); }
   /// Current total water volume (the conservation invariant).
-  [[nodiscard]] double volume();
+  [[nodiscard]] double volume() { return app_->volume(); }
   [[nodiscard]] double initial_volume() const { return vol0_; }
   [[nodiscard]] double last_dt() const { return app_->last_dt(); }
   [[nodiscard]] idx_t ncells() const { return app_->ncells(); }
   [[nodiscard]] const Scenario& scenario() const { return sc_; }
+  /// The mesh part this scenario runs over.
+  [[nodiscard]] const std::shared_ptr<MeshPart>& mesh_part() const { return ctx_.mesh_part(); }
 
  private:
   Scenario sc_;
   LocalCtx ctx_;  ///< declared before app_: the driver pins handles into it
-  aligned_vector<double> cgeom_;
   std::unique_ptr<Volna<float, LocalCtx>> app_;
   double vol0_ = 0.0;
 };
 
 /// Instance factory over one shared mesh: instance id -> sweep[id % n].
-/// The mesh and sweep are captured by value-shared state; `m` must stay
-/// alive for the ensemble's add_instances() call only (each instance copies
-/// what it needs at construction).
+/// The mesh and sweep are captured by value-shared state, so `m` need not
+/// outlive the call. Every instance runs over ONE MeshPart: the first
+/// instance built declares and freezes it (inside the first
+/// add_instances(), not here), later ones bind to it.
 serve::InstanceFactory hazard_factory(const mesh::UnstructuredMesh& m,
                                       std::vector<Scenario> sweep, ExecConfig cfg,
                                       bool chain = false);

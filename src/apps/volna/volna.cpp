@@ -81,9 +81,10 @@ aligned_vector<double> cell_geometry(const mesh::UnstructuredMesh& m) {
   return geom;
 }
 
-aligned_vector<double> initial_state(const mesh::UnstructuredMesh& m, double depth, double amp,
-                                     double width) {
-  aligned_vector<double> u(static_cast<std::size_t>(m.ncells) * 4, 0.0);
+template <class Real>
+aligned_vector<Real> initial_state(const mesh::UnstructuredMesh& m, double depth, double amp,
+                                   double width) {
+  aligned_vector<Real> u(static_cast<std::size_t>(m.ncells) * 4, Real(0));
   const double lx = m.periodic ? m.period_x : 1.0;
   const double ly = m.periodic ? m.period_y : 1.0;
   const double x0 = 0.5 * lx, y0 = 0.5 * ly;
@@ -103,10 +104,15 @@ aligned_vector<double> initial_state(const mesh::UnstructuredMesh& m, double dep
     const double cx = bx + sx / k, cy = by + sy / k;
     const double rx = m.wrap_dx(cx - x0), ry = m.wrap_dy(cy - y0);
     const double eta = amp * std::exp(-(rx * rx + ry * ry) / w2);
-    u[4 * static_cast<std::size_t>(c)] = depth + eta;  // h
+    u[4 * static_cast<std::size_t>(c)] = static_cast<Real>(depth + eta);  // h
     // hu = hv = 0 (still water), zb = 0 (flat bottom).
   }
   return u;
 }
+
+template aligned_vector<float> initial_state<float>(const mesh::UnstructuredMesh&, double,
+                                                    double, double);
+template aligned_vector<double> initial_state<double>(const mesh::UnstructuredMesh&, double,
+                                                      double, double);
 
 }  // namespace opv::volna

@@ -30,9 +30,11 @@ aligned_vector<double> cell_geometry(const mesh::UnstructuredMesh& m);
 
 /// Synthetic tsunami initial condition: still water of depth `depth` with a
 /// Gaussian free-surface hump of amplitude `amp` at the domain center.
-/// Returns the state vector U = {h, hu, hv, zb} per cell.
-aligned_vector<double> initial_state(const mesh::UnstructuredMesh& m, double depth, double amp,
-                                     double width);
+/// Returns the state vector U = {h, hu, hv, zb} per cell, computed in
+/// double and stored as Real (instantiated for float and double).
+template <class Real = double>
+aligned_vector<Real> initial_state(const mesh::UnstructuredMesh& m, double depth, double amp,
+                                   double width);
 
 template <class Real>
 aligned_vector<Real> cast_vec(const aligned_vector<double>& in) {
@@ -55,24 +57,44 @@ class Volna {
       : ctx_(ctx), ncells_(m.ncells), chain_(chain) {
     register_kernel_info();
     OPV_REQUIRE(m.nodes_per_cell == 3, "Volna requires a triangular mesh");
-    centroids_ = volna_centroids(m);
+    // Over an already-frozen shared mesh part (a LocalCtx built over another
+    // context's part) the mesh declarations bind to the part's and ignore
+    // their data, so none of it is derived.
+    bool fresh = true;
+    if constexpr (requires { ctx.shares_frozen_mesh(); }) fresh = !ctx.shares_frozen_mesh();
 
     cells_ = ctx_.decl_set("cells", m.ncells);
     edges_ = ctx_.decl_set("edges", m.nedges);
-    ctx_.set_partition_coords(cells_, centroids_.data());
+    aligned_vector<idx_t> e2c, c2e;
+    aligned_vector<Real> egeom, cgeom;
+    aligned_vector<double> area;
+    if (fresh) {
+      const aligned_vector<double> centroids = volna_centroids(m);
+      ctx_.set_partition_coords(cells_, centroids.data());
+      e2c = m.edge_cells;
+      c2e = mesh::build_cell_edges_flat3(m);
+      egeom = cast_vec<Real>(edge_geometry(m));
+      const aligned_vector<double> cg = cell_geometry(m);
+      cgeom = cast_vec<Real>(cg);
+      area.resize(static_cast<std::size_t>(m.ncells));
+      for (std::size_t c = 0; c < area.size(); ++c) area[c] = cg[2 * c];
+    }
+    e2c_ = ctx_.decl_map("e2c", edges_, cells_, 2, std::move(e2c));
+    c2e_ = ctx_.decl_map("c2e", cells_, edges_, 3, std::move(c2e));
 
-    e2c_ = ctx_.decl_map("e2c", edges_, cells_, 2, m.edge_cells);
-    c2e_ = ctx_.decl_map("c2e", cells_, edges_, 3, mesh::build_cell_edges_flat3(m));
-
+    // State: the only dat a checkpoint carries. Scratch: written before it
+    // is read every step (res is INCed, then zeroed by RK_1/RK_2). Mesh
+    // data: read-only geometry, shared.
     u_ = ctx_.template decl_dat<Real, 4>("values", cells_,
-                                         cast_vec<Real>(initial_state(m, depth, amp, width)));
-    uold_ = ctx_.template decl_dat<Real, 4>("uold", cells_);
-    utmp_ = ctx_.template decl_dat<Real, 4>("utmp", cells_);
-    res_ = ctx_.template decl_dat<Real, 4>("res", cells_);
-    cdt_ = ctx_.template decl_dat<Real, 1>("cdt", cells_);
-    egeom_ = ctx_.template decl_dat<Real, 4>("egeom", edges_, cast_vec<Real>(edge_geometry(m)));
-    cgeom_ = ctx_.template decl_dat<Real, 2>("cgeom", cells_, cast_vec<Real>(cell_geometry(m)));
-    flux_ = ctx_.template decl_dat<Real, 5>("flux", edges_);
+                                         initial_state<Real>(m, depth, amp, width));
+    uold_ = ctx_.template decl_scratch_dat<Real, 4>("uold", cells_);
+    utmp_ = ctx_.template decl_scratch_dat<Real, 4>("utmp", cells_);
+    res_ = ctx_.template decl_scratch_dat<Real, 4>("res", cells_);
+    cdt_ = ctx_.template decl_scratch_dat<Real, 1>("cdt", cells_);
+    egeom_ = ctx_.template decl_mesh_dat<Real, 4>("egeom", edges_, std::move(egeom));
+    cgeom_ = ctx_.template decl_mesh_dat<Real, 2>("cgeom", cells_, std::move(cgeom));
+    flux_ = ctx_.template decl_scratch_dat<Real, 5>("flux", edges_);
+    area_ = ctx_.template decl_mesh_dat<double, 1>("area", cells_, std::move(area));
     ctx_.finalize();
     build_loops();
   }
@@ -118,6 +140,17 @@ class Volna {
   /// The state dat handle (health scans, e.g. guard::check_finite).
   [[nodiscard]] auto state_dat() { return u_; }
 
+  /// Total water volume sum(h*area) in global cell order — the same sum,
+  /// bit for bit, as total_volume(fetch_state(), cell_geometry(m)).
+  [[nodiscard]] double volume() {
+    aligned_vector<double> area;
+    ctx_.fetch(area_, area);
+    const aligned_vector<Real> u = fetch_state();
+    double vol = 0.0;
+    for (std::size_t c = 0; c < area.size(); ++c) vol += static_cast<double>(u[c * 4]) * area[c];
+    return vol;
+  }
+
  private:
   static aligned_vector<double> volna_centroids(const mesh::UnstructuredMesh& m);
 
@@ -125,7 +158,6 @@ class Volna {
   idx_t ncells_;
   bool chain_ = false;
   Params<Real> params_;
-  aligned_vector<double> centroids_;
   double dt_ = 0.0;
   Real dtmin_ = Real(0);  ///< numerical_flux's MIN reduction target
   Real dt_arg_ = Real(0); ///< RK_1/RK_2's READ global, set from dtmin_
@@ -136,6 +168,7 @@ class Volna {
   typename Ctx::template FixedDatHandle<Real, 1> cdt_{};
   typename Ctx::template FixedDatHandle<Real, 2> cgeom_{};
   typename Ctx::template FixedDatHandle<Real, 5> flux_{};
+  typename Ctx::template FixedDatHandle<double, 1> area_{};  ///< cell areas (volume())
 
   /// One persistent handle per kernel call site (compute_flux and
   /// space_disc each appear twice in a step, so twice here). Every dat is

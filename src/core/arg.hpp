@@ -20,7 +20,8 @@
 // outside [1,kMaxDim], Dim mismatching a FixedDat) are rejected at COMPILE
 // TIME via constraints — `requires { arg<opv::MIN>(d); }` is false — while
 // data-dependent errors (map index range, set mismatch, Dim vs a runtime
-// dat dim) remain runtime opv::Error throws.
+// dat dim, a non-READ descriptor on read-only mesh data) remain runtime
+// opv::Error throws.
 #pragma once
 
 #include <type_traits>
@@ -51,6 +52,14 @@ template <int Dim, class D>
 inline void check_dim(const D& dat) {
   OPV_REQUIRE(dat.dim() == Dim, "arg: descriptor Dim " << Dim << " != dat '" << dat.name()
                                                        << "' dim " << dat.dim());
+}
+
+/// Mesh data (DatBase::read_only) admits READ descriptors only.
+template <AccessMode A>
+inline void check_access(const DatBase& dat) {
+  if constexpr (A != AccessMode::READ)
+    OPV_REQUIRE(!dat.read_only(), "arg: dat '" << dat.name() << "' is read-only mesh data; only "
+                                                    "READ access is allowed");
 }
 
 }  // namespace detail
@@ -99,6 +108,7 @@ inline Arg<typename D::value_type, A, Dim, true> arg(D& dat, int idx, const Map&
                                                     << dat.name() << "' lives on '"
                                                     << dat.set().name() << "'");
   detail::check_dim<Dim>(dat);
+  detail::check_access<A>(dat);
   return {&dat, &map, idx};
 }
 
@@ -107,6 +117,7 @@ template <AccessMode A, int Dim, detail::DatLike D>
   requires(dat_access_ok(A) && arg_dim_ok(Dim) && detail::dim_matches_dat_v<Dim, D>)
 inline Arg<typename D::value_type, A, Dim, false> arg(D& dat) {
   detail::check_dim<Dim>(dat);
+  detail::check_access<A>(dat);
   return {&dat, nullptr, -1};
 }
 

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstring>
+#include <memory>
 #include <span>
 #include <string>
 #include <typeinfo>
@@ -19,6 +20,11 @@ namespace opv {
 /// vector paths are sized to it; compile-time Dim descriptors are bounded
 /// by it at the type level).
 inline constexpr int kMaxDim = 8;
+
+/// Constructor tag for a scratch dat: no storage of its own; a
+/// LocalCtx::ScratchLease swaps a pooled buffer in for one step.
+struct ScratchStorage {};
+inline constexpr ScratchStorage scratch_storage{};
 
 /// Type-erased base so plan/halo machinery can handle datasets generically.
 class DatBase {
@@ -85,6 +91,21 @@ class DatBase {
   void freeze_layout() { layout_frozen_ = true; }
   [[nodiscard]] bool layout_frozen() const { return layout_frozen_; }
 
+  // ---- mesh data and scratch (core/context.hpp) ---------------------------
+
+  /// Read-only mesh data (LocalCtx::decl_mesh_dat): opv::arg accepts only
+  /// READ access to it.
+  [[nodiscard]] bool read_only() const { return read_only_; }
+  void set_read_only() { read_only_ = true; }
+
+  /// A zeroed buffer holding this dat's value type and physical storage
+  /// size (its layout's padded rows) — one slot of a scratch pool.
+  [[nodiscard]] virtual std::unique_ptr<DatBase> make_buffer() const = 0;
+  /// Exchange storage with a make_buffer() buffer of this dat.
+  virtual void swap_storage(DatBase& buffer) = 0;
+  /// Set every stored value to zero.
+  virtual void zero() = 0;
+
  protected:
   /// Typed storage conversion AoS -> l, implemented by Dat<T>.
   virtual void relayout_storage(Layout l) = 0;
@@ -98,6 +119,7 @@ class DatBase {
   idx_t plane_ = 0;                 ///< padded rows (non-AoS only)
   bool layout_explicit_ = false;
   bool layout_frozen_ = false;
+  bool read_only_ = false;
 };
 
 /// Typed dataset: total_size()*dim values of T in 64-byte-aligned storage.
@@ -115,6 +137,9 @@ class Dat : public DatBase {
     OPV_REQUIRE(data_.size() == static_cast<std::size_t>(set.total_size()) * dim,
                 "dat '" << this->name() << "': init size mismatch");
   }
+
+  Dat(std::string name, const Set& set, int dim, ScratchStorage)
+      : DatBase(std::move(name), set, dim) {}
 
   [[nodiscard]] T* data() { return data_.data(); }
   [[nodiscard]] const T* data() const { return data_.data(); }
@@ -136,11 +161,24 @@ class Dat : public DatBase {
 
   void fill(T v) { std::fill(data_.begin(), data_.end(), v); }
 
+  [[nodiscard]] std::unique_ptr<DatBase> make_buffer() const override {
+    auto b = std::make_unique<Dat<T>>(name(), set(), dim(), scratch_storage);
+    const idx_t rows = layout() == Layout::AoS ? set().total_size() : plane();
+    b->data_.assign(static_cast<std::size_t>(rows) * dim(), T{});
+    return b;
+  }
+  void swap_storage(DatBase& buffer) override {
+    std::swap(data_, static_cast<Dat<T>&>(buffer).data_);
+  }
+  void zero() override { fill(T{}); }
+
  protected:
   /// AoS -> l conversion into padded storage via the type-erased reorder
   /// machinery (padding rows stay zero, so vector code may harmlessly load
-  /// them).
+  /// them). A scratch dat has no storage to convert: its pool's buffers are
+  /// made in the layout it ends up with.
   void relayout_storage(Layout l) override {
+    if (data_.empty()) return;
     const idx_t n = set().total_size();
     const idx_t pl = padded_rows(n);
     aligned_vector<T> out(static_cast<std::size_t>(pl) * dim(), T{});
@@ -167,6 +205,8 @@ class FixedDat final : public Dat<T> {
   FixedDat(std::string name, const Set& set) : Dat<T>(std::move(name), set, N) {}
   FixedDat(std::string name, const Set& set, aligned_vector<T> init)
       : Dat<T>(std::move(name), set, N, std::move(init)) {}
+  FixedDat(std::string name, const Set& set, ScratchStorage)
+      : Dat<T>(std::move(name), set, N, scratch_storage) {}
 };
 
 /// Compile-time arity of a dataset TYPE: N for FixedDat<T, N>, 0 (unknown

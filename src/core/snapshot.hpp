@@ -6,7 +6,8 @@
 // ByteReader. Two producers exist today:
 //
 //   * LocalCtx::snapshot() (core/context.hpp) appends one "dat/NNN/<name>"
-//     section per declared dat, holding its declaration-order AoS bytes —
+//     section per declared STATE dat (mesh data and scratch are not
+//     evolving state), holding its declaration-order AoS bytes —
 //     the same canonical form fetch() returns, so a snapshot taken from a
 //     renumbered SoA context restores bit-exactly into an untouched AoS one.
 //   * serve::Checkpointable implementations append app-level globals
@@ -132,7 +133,9 @@ struct Checkpoint {
 /// far; retired instances keep their error instead of state). Serialized to
 /// the OPVK container by mesh/io write_checkpoint/read_checkpoint.
 struct EnsembleCheckpoint {
-  static constexpr std::uint32_t kVersion = 1;
+  /// 2: instance snapshots hold state dats only (version 1 held every dat,
+  /// so its dat sections are numbered differently and are rejected).
+  static constexpr std::uint32_t kVersion = 2;
 
   struct InstanceState {
     int id = -1;

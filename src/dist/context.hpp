@@ -170,6 +170,19 @@ class DistCtx {
     return {decl_dat<T>(name, set, N).id};
   }
 
+  /// The context-concept spellings for read-only mesh data and per-step
+  /// scratch (LocalCtx keeps both out of its state dats). Every rank holds
+  /// replicas of its own, so here they are plain dats.
+  template <class T, int N>
+  FixedDatHandle<T, N> decl_mesh_dat(const std::string& name, SetHandle set,
+                                     const aligned_vector<T>& init) {
+    return decl_dat<T, N>(name, set, init);
+  }
+  template <class T, int N>
+  FixedDatHandle<T, N> decl_scratch_dat(const std::string& name, SetHandle set) {
+    return decl_dat<T, N>(name, set);
+  }
+
   /// Request a memory layout for one dataset (core/layout.hpp): every rank
   /// replica is materialized in that physical layout at finalize(). Legal
   /// until finalize, like every other declaration.

@@ -42,11 +42,12 @@
 namespace opv::serve {
 
 /// One simulation instance: anything that can advance by one timestep.
-/// Implementations own their full simulation state (context, mesh data,
-/// pinned loop handles). step() is called with exclusive ownership — never
+/// Implementations own their evolving state (context state dats, pinned
+/// loop handles). step() is called with exclusive ownership — never
 /// concurrently for one instance — but different instances step
 /// concurrently, so anything shared BETWEEN instances must be immutable or
-/// thread-safe (a shared input mesh read at construction is fine).
+/// thread-safe: a frozen MeshPart (core/context.hpp) is both — its sets,
+/// maps and mesh data never change, and its scratch pool is locked.
 class Instance {
  public:
   virtual ~Instance() = default;

@@ -256,7 +256,10 @@ struct F64x4 {
   static F64x4 loadu(const double* p) { return F64x4{_mm256_loadu_pd(p)}; }
   static F64x4 loada(const double* p) { return F64x4{_mm256_load_pd(p)}; }
   static F64x4 gather(const double* base, I32x4 idx) {
-    return F64x4{_mm256_i32gather_pd(base, idx.v, 8)};
+    // Masked over a zeroed source: the unmasked intrinsic passes an
+    // undefined register that GCC's -Wmaybe-uninitialized reports.
+    return F64x4{_mm256_mask_i32gather_pd(_mm256_setzero_pd(), base, idx.v,
+                                          _mm256_castsi256_pd(_mm256_set1_epi64x(-1)), 8)};
   }
   static F64x4 gather_masked(const double* base, I32x4 idx, MaskF64x4 m, F64x4 fb) {
     return F64x4{_mm256_mask_i32gather_pd(fb.v, base, idx.v, m.m, 8)};

@@ -60,6 +60,56 @@ struct F64x8;
 struct F32x16;
 struct I32x16;
 
+// ---- undefined-source-free forms --------------------------------------------
+//
+// GCC's unmasked gathers, min/max/sqrt/srai and the _mm512_extract*x4 behind
+// every _mm512_reduce_* pass an undefined source register
+// (_mm512_undefined_*) that -Wmaybe-uninitialized reports at each inlined
+// call site. The all-lanes masked forms over a zeroed source below are the
+// same instructions without it, so the build stays warning-clean.
+
+namespace detail {
+
+// 256-bit halves (GCC's _mm512_cast*512_*256 are extracts, too).
+template <int Hi>
+inline __m256d half(__m512d a) {
+  return _mm512_maskz_extractf64x4_pd(0xF, a, Hi);
+}
+template <int Hi>
+inline __m256 half(__m512 a) {
+  return _mm256_castpd_ps(_mm512_maskz_extractf64x4_pd(0xF, _mm512_castps_pd(a), Hi));
+}
+template <int Hi>
+inline __m256i half(__m512i a) {
+  return _mm512_maskz_extracti64x4_epi64(0xF, a, Hi);
+}
+
+// Horizontal reductions with the combination tree of GCC's _mm512_reduce_*
+// (high half op low half, then 128-bit halves, then adjacent lanes), so
+// they return the same bits.
+template <class Op256, class Op128>
+inline double reduce(__m512d a, Op256 op256, Op128 op128) {
+  const __m256d t = op256(half<1>(a), half<0>(a));
+  const __m128d u = op128(_mm256_extractf128_pd(t, 1), _mm256_castpd256_pd128(t));
+  return _mm_cvtsd_f64(op128(u, _mm_shuffle_pd(u, u, 1)));
+}
+template <class Op256, class Op128>
+inline float reduce(__m512 a, Op256 op256, Op128 op128) {
+  const __m256 t = op256(half<1>(a), half<0>(a));
+  const __m128 u = op128(_mm256_extractf128_ps(t, 1), _mm256_castps256_ps128(t));
+  const __m128 v = op128(u, _mm_shuffle_ps(u, u, _MM_SHUFFLE(1, 0, 3, 2)));
+  return _mm_cvtss_f32(op128(v, _mm_shuffle_ps(v, v, _MM_SHUFFLE(0, 1, 0, 1))));
+}
+template <class Op256, class Op128>
+inline std::int32_t reduce(__m512i a, Op256 op256, Op128 op128) {
+  const __m256i t = op256(half<1>(a), half<0>(a));
+  const __m128i u = op128(_mm256_extracti128_si256(t, 1), _mm256_castsi256_si128(t));
+  const __m128i v = op128(u, _mm_shuffle_epi32(u, _MM_SHUFFLE(1, 0, 3, 2)));
+  return _mm_cvtsi128_si32(op128(v, _mm_shuffle_epi32(v, _MM_SHUFFLE(0, 1, 0, 1))));
+}
+
+}  // namespace detail
+
 // ---- F64x8 -----------------------------------------------------------------
 
 /// 8 x double in a 512-bit register — the paper's F64vec8 (IMCI).
@@ -78,7 +128,7 @@ struct F64x8 {
   static F64x8 loada(const double* p) { return F64x8{_mm512_load_pd(p)}; }
   /// The paper's _mm512_i32logather_pd: 32-bit indices gathering doubles.
   static F64x8 gather(const double* base, I32x8 idx) {
-    return F64x8{_mm512_i32gather_pd(idx.v, base, 8)};
+    return F64x8{_mm512_mask_i32gather_pd(_mm512_setzero_pd(), 0xFF, idx.v, base, 8)};
   }
   static F64x8 gather_masked(const double* base, I32x8 idx, MaskK8 m, F64x8 fb) {
     return F64x8{_mm512_mask_i32gather_pd(fb.v, m.m, idx.v, base, 8)};
@@ -187,14 +237,26 @@ inline void scatter_add_serial_masked(double* base, I32x8 idx, F64x8 a, MaskK8 m
 inline F64x8 select(MaskK8 m, F64x8 a, F64x8 b) {
   return F64x8{_mm512_mask_blend_pd(m.m, b.v, a.v)};
 }
-inline F64x8 min(F64x8 a, F64x8 b) { return F64x8{_mm512_min_pd(a.v, b.v)}; }
-inline F64x8 max(F64x8 a, F64x8 b) { return F64x8{_mm512_max_pd(a.v, b.v)}; }
+inline F64x8 min(F64x8 a, F64x8 b) { return F64x8{_mm512_maskz_min_pd(0xFF, a.v, b.v)}; }
+inline F64x8 max(F64x8 a, F64x8 b) { return F64x8{_mm512_maskz_max_pd(0xFF, a.v, b.v)}; }
 inline F64x8 abs(F64x8 a) { return F64x8{_mm512_abs_pd(a.v)}; }
-inline F64x8 sqrt(F64x8 a) { return F64x8{_mm512_sqrt_pd(a.v)}; }
+inline F64x8 sqrt(F64x8 a) { return F64x8{_mm512_maskz_sqrt_pd(0xFF, a.v)}; }
 inline F64x8 fma(F64x8 a, F64x8 b, F64x8 c) { return F64x8{_mm512_fmadd_pd(a.v, b.v, c.v)}; }
-inline double hsum(F64x8 a) { return _mm512_reduce_add_pd(a.v); }
-inline double hmin(F64x8 a) { return _mm512_reduce_min_pd(a.v); }
-inline double hmax(F64x8 a) { return _mm512_reduce_max_pd(a.v); }
+inline double hsum(F64x8 a) {
+  return detail::reduce(
+      a.v, [](__m256d x, __m256d y) { return _mm256_add_pd(x, y); },
+      [](__m128d x, __m128d y) { return _mm_add_pd(x, y); });
+}
+inline double hmin(F64x8 a) {
+  return detail::reduce(
+      a.v, [](__m256d x, __m256d y) { return _mm256_min_pd(x, y); },
+      [](__m128d x, __m128d y) { return _mm_min_pd(x, y); });
+}
+inline double hmax(F64x8 a) {
+  return detail::reduce(
+      a.v, [](__m256d x, __m256d y) { return _mm256_max_pd(x, y); },
+      [](__m128d x, __m128d y) { return _mm_max_pd(x, y); });
+}
 
 // ---- I32x16 ----------------------------------------------------------------
 
@@ -213,7 +275,7 @@ struct I32x16 {
   static I32x16 loadu(const std::int32_t* p) { return I32x16{_mm512_loadu_si512(p)}; }
   static I32x16 loada(const std::int32_t* p) { return I32x16{_mm512_load_si512(p)}; }
   static I32x16 gather(const std::int32_t* base, I32x16 idx) {
-    return I32x16{_mm512_i32gather_epi32(idx.v, base, 4)};
+    return I32x16{_mm512_mask_i32gather_epi32(_mm512_setzero_si512(), 0xFFFF, idx.v, base, 4)};
   }
   static I32x16 gather_masked(const std::int32_t* base, I32x16 idx, MaskK16 m, I32x16 fb) {
     return I32x16{_mm512_mask_i32gather_epi32(fb.v, m.m, idx.v, base, 4)};
@@ -245,7 +307,9 @@ struct I32x16 {
   friend I32x16 operator+(I32x16 a, I32x16 b) { return I32x16{_mm512_add_epi32(a.v, b.v)}; }
   friend I32x16 operator-(I32x16 a, I32x16 b) { return I32x16{_mm512_sub_epi32(a.v, b.v)}; }
   friend I32x16 operator*(I32x16 a, I32x16 b) { return I32x16{_mm512_mullo_epi32(a.v, b.v)}; }
-  friend I32x16 operator>>(I32x16 a, int s) { return I32x16{_mm512_srai_epi32(a.v, s)}; }
+  friend I32x16 operator>>(I32x16 a, int s) {
+    return I32x16{_mm512_maskz_srai_epi32(0xFFFF, a.v, static_cast<unsigned>(s))};
+  }
   I32x16& operator+=(I32x16 o) {
     v = _mm512_add_epi32(v, o.v);
     return *this;
@@ -265,8 +329,8 @@ inline void storeu(std::int32_t* p, I32x16 a) { _mm512_storeu_si512(p, a.v); }
 inline I32x16 select(MaskK16 m, I32x16 a, I32x16 b) {
   return I32x16{_mm512_mask_blend_epi32(m.m, b.v, a.v)};
 }
-inline I32x16 min(I32x16 a, I32x16 b) { return I32x16{_mm512_min_epi32(a.v, b.v)}; }
-inline I32x16 max(I32x16 a, I32x16 b) { return I32x16{_mm512_max_epi32(a.v, b.v)}; }
+inline I32x16 min(I32x16 a, I32x16 b) { return I32x16{_mm512_maskz_min_epi32(0xFFFF, a.v, b.v)}; }
+inline I32x16 max(I32x16 a, I32x16 b) { return I32x16{_mm512_maskz_max_epi32(0xFFFF, a.v, b.v)}; }
 inline void store_strided(std::int32_t* p, int s, I32x16 a) {
   const auto t = a.to_array();
   for (int i = 0; i < 16; ++i) p[i * s] = t[i];
@@ -291,9 +355,21 @@ inline void scatter_add_serial_masked(std::int32_t* base, I32x16 idx, I32x16 a, 
   for (int i = 0; i < 16; ++i)
     if ((m.m >> i) & 1) base[ix[i]] += t[i];
 }
-inline std::int32_t hsum(I32x16 a) { return _mm512_reduce_add_epi32(a.v); }
-inline std::int32_t hmin(I32x16 a) { return _mm512_reduce_min_epi32(a.v); }
-inline std::int32_t hmax(I32x16 a) { return _mm512_reduce_max_epi32(a.v); }
+inline std::int32_t hsum(I32x16 a) {
+  return detail::reduce(
+      a.v, [](__m256i x, __m256i y) { return _mm256_add_epi32(x, y); },
+      [](__m128i x, __m128i y) { return _mm_add_epi32(x, y); });
+}
+inline std::int32_t hmin(I32x16 a) {
+  return detail::reduce(
+      a.v, [](__m256i x, __m256i y) { return _mm256_min_epi32(x, y); },
+      [](__m128i x, __m128i y) { return _mm_min_epi32(x, y); });
+}
+inline std::int32_t hmax(I32x16 a) {
+  return detail::reduce(
+      a.v, [](__m256i x, __m256i y) { return _mm256_max_epi32(x, y); },
+      [](__m128i x, __m128i y) { return _mm_max_epi32(x, y); });
+}
 
 // ---- F32x16 ----------------------------------------------------------------
 
@@ -312,7 +388,7 @@ struct F32x16 {
   static F32x16 loadu(const float* p) { return F32x16{_mm512_loadu_ps(p)}; }
   static F32x16 loada(const float* p) { return F32x16{_mm512_load_ps(p)}; }
   static F32x16 gather(const float* base, I32x16 idx) {
-    return F32x16{_mm512_i32gather_ps(idx.v, base, 4)};
+    return F32x16{_mm512_mask_i32gather_ps(_mm512_setzero_ps(), 0xFFFF, idx.v, base, 4)};
   }
   static F32x16 gather_masked(const float* base, I32x16 idx, MaskK16 m, F32x16 fb) {
     return F32x16{_mm512_mask_i32gather_ps(fb.v, m.m, idx.v, base, 4)};
@@ -423,14 +499,26 @@ inline void scatter_add_serial_masked(float* base, I32x16 idx, F32x16 a, MaskK16
 inline F32x16 select(MaskK16 m, F32x16 a, F32x16 b) {
   return F32x16{_mm512_mask_blend_ps(m.m, b.v, a.v)};
 }
-inline F32x16 min(F32x16 a, F32x16 b) { return F32x16{_mm512_min_ps(a.v, b.v)}; }
-inline F32x16 max(F32x16 a, F32x16 b) { return F32x16{_mm512_max_ps(a.v, b.v)}; }
+inline F32x16 min(F32x16 a, F32x16 b) { return F32x16{_mm512_maskz_min_ps(0xFFFF, a.v, b.v)}; }
+inline F32x16 max(F32x16 a, F32x16 b) { return F32x16{_mm512_maskz_max_ps(0xFFFF, a.v, b.v)}; }
 inline F32x16 abs(F32x16 a) { return F32x16{_mm512_abs_ps(a.v)}; }
-inline F32x16 sqrt(F32x16 a) { return F32x16{_mm512_sqrt_ps(a.v)}; }
+inline F32x16 sqrt(F32x16 a) { return F32x16{_mm512_maskz_sqrt_ps(0xFFFF, a.v)}; }
 inline F32x16 fma(F32x16 a, F32x16 b, F32x16 c) { return F32x16{_mm512_fmadd_ps(a.v, b.v, c.v)}; }
-inline float hsum(F32x16 a) { return _mm512_reduce_add_ps(a.v); }
-inline float hmin(F32x16 a) { return _mm512_reduce_min_ps(a.v); }
-inline float hmax(F32x16 a) { return _mm512_reduce_max_ps(a.v); }
+inline float hsum(F32x16 a) {
+  return detail::reduce(
+      a.v, [](__m256 x, __m256 y) { return _mm256_add_ps(x, y); },
+      [](__m128 x, __m128 y) { return _mm_add_ps(x, y); });
+}
+inline float hmin(F32x16 a) {
+  return detail::reduce(
+      a.v, [](__m256 x, __m256 y) { return _mm256_min_ps(x, y); },
+      [](__m128 x, __m128 y) { return _mm_min_ps(x, y); });
+}
+inline float hmax(F32x16 a) {
+  return detail::reduce(
+      a.v, [](__m256 x, __m256 y) { return _mm256_max_ps(x, y); },
+      [](__m128 x, __m128 y) { return _mm_max_ps(x, y); });
+}
 
 // ---- mask conversions -------------------------------------------------------
 

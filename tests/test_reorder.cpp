@@ -109,6 +109,18 @@ class ManualRelayoutCtx {
   FixedDatHandle<T, N> decl_dat(const std::string& name, SetHandle set) {
     return {inner_->template decl_dat<T, N>(name, set), set_perm_.at(set), set_size_.at(set)};
   }
+  template <class T, int N>
+  FixedDatHandle<T, N> decl_mesh_dat(const std::string& name, SetHandle set,
+                                     aligned_vector<T> init) {
+    if (const auto* p = set_perm_.at(set)) reorder::permute_rows(*p, init.data(), N);
+    return {inner_->template decl_mesh_dat<T, N>(name, set, init), set_perm_.at(set),
+            set_size_.at(set)};
+  }
+  template <class T, int N>
+  FixedDatHandle<T, N> decl_scratch_dat(const std::string& name, SetHandle set) {
+    return {inner_->template decl_scratch_dat<T, N>(name, set), set_perm_.at(set),
+            set_size_.at(set)};
+  }
 
   void finalize() { inner_->finalize(); }
 

@@ -244,6 +244,39 @@ TEST(Snapshot, RestoreRejectsShapeMismatch) {
   EXPECT_THROW(s.ctx.restore(empty), opv::Error);
 }
 
+TEST(Snapshot, HazardCheckpointHoldsOnlyState) {
+  // Mesh data and scratch are not evolving state: a hazard checkpoint is
+  // the `values` dat plus the step globals, nothing else.
+  const auto m = mesh::make_tri_periodic(8, 8, 10.0, 10.0);
+  volna::HazardInstance inst(m, volna::Scenario{}, seq_cfg());
+  inst.step();
+  const Checkpoint c = inst.checkpoint();
+  ASSERT_EQ(c.sections.size(), 2u);
+  EXPECT_EQ(c.sections[0].name, "dat/000/values");
+  EXPECT_EQ(c.sections[1].name, "globals/volna");
+  // [i64 rows][i32 dim][u32 value bytes] + ncells x 4 floats.
+  EXPECT_EQ(c.sections[0].bytes.size(),
+            16u + static_cast<std::size_t>(m.ncells) * 4 * sizeof(float));
+}
+
+TEST(Snapshot, MeshDatAdmitsOnlyReadArgs) {
+  LocalCtx ctx(seq_cfg());
+  auto* cells = ctx.decl_set("cells", 4);
+  auto* edges = ctx.decl_set("edges", 3);
+  auto* e2c = ctx.decl_map("e2c", edges, cells, 2, {0, 1, 1, 2, 2, 3});
+  auto* geom = ctx.decl_mesh_dat<double, 2>("geom", cells, aligned_vector<double>(8, 1.0));
+  EXPECT_NO_THROW((void)ctx.arg<opv::READ>(geom));
+  EXPECT_NO_THROW((void)ctx.arg<opv::READ>(geom, 0, e2c));
+  EXPECT_THROW((void)ctx.arg<opv::WRITE>(geom), opv::Error);
+  EXPECT_THROW((void)ctx.arg<opv::RW>(geom), opv::Error);
+  EXPECT_THROW((void)ctx.arg<opv::INC>(geom, 1, e2c), opv::Error);
+  EXPECT_THROW((void)opv::arg<opv::WRITE>(*geom), opv::Error);
+  // Mesh data is not state: a snapshot has no section for it.
+  Checkpoint c;
+  ctx.snapshot(c);
+  EXPECT_TRUE(c.sections.empty());
+}
+
 // ===== finiteness guard ======================================================
 
 TEST(Guard, ScansFloatAndDoubleIncludingChunkTails) {
@@ -580,6 +613,26 @@ TEST(Opvk, CorruptionCorpusFailsLoudly) {
   expect_read_error(path, "trailing bytes");
 
   std::remove(good_path.c_str());
+  std::remove(path.c_str());
+}
+
+TEST(Opvk, RejectsVersion1File) {
+  // Version 1 files snapshot every dat; their sections do not line up with
+  // state-only snapshots, so the reader must refuse them by version.
+  const std::string path = tmp_path("opv_chk_v1.opvk");
+  mesh::write_checkpoint(sample_checkpoint(), path);
+  std::string bytes = slurp(path);
+  const std::uint32_t v1 = 1;
+  std::memcpy(&bytes[8], &v1, sizeof v1);  // the field after the 8-byte magic
+  spit(path, bytes);
+  try {
+    (void)mesh::read_checkpoint(path);
+    FAIL() << "expected a version error";
+  } catch (const opv::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported OPVK version 1 (have 2)"),
+              std::string::npos)
+        << e.what();
+  }
   std::remove(path.c_str());
 }
 

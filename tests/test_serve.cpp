@@ -1,7 +1,9 @@
 // serve/ensemble.hpp: the ensemble scheduler's correctness bar — bitwise
 // Seq equivalence to solo execution regardless of interleaving, per-
 // instance stats isolation, fault isolation, and cross-instance plan
-// sharing through the content-keyed PlanCache.
+// sharing through the content-keyed PlanCache — plus the shared mesh part
+// (core/context.hpp MeshPart) the hazard instances run over: one frozen
+// mesh, per-instance state, scratch leased per step from one pool.
 
 #include <gtest/gtest.h>
 
@@ -13,9 +15,11 @@
 
 #include "apps/volna/hazard.hpp"
 #include "common/worker_pool.hpp"
+#include "core/context.hpp"
 #include "core/plan.hpp"
 #include "mesh/generators.hpp"
 #include "serve/ensemble.hpp"
+#include "serve/fault.hpp"
 
 using namespace opv;
 using namespace opv::serve;
@@ -32,6 +36,13 @@ ExecConfig seq_cfg() {
 bool bitwise_equal(const aligned_vector<float>& a, const aligned_vector<float>& b) {
   return a.size() == b.size() &&
          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// The HazardInstance inside a with_fault()-wrapped or plain instance.
+volna::HazardInstance& hazard_of(Instance& inst) {
+  if (auto* f = dynamic_cast<FaultyInstance*>(&inst))
+    return dynamic_cast<volna::HazardInstance&>(f->inner());
+  return dynamic_cast<volna::HazardInstance&>(inst);
 }
 
 /// A trivial instance for scheduler-behavior tests: counts its steps and
@@ -305,4 +316,197 @@ TEST(Ensemble, DistinctMeshInstancesBuildDistinctPlans) {
   const auto c = PlanCache::instance().counters();
   EXPECT_EQ(c.misses, 2u) << "different meshes cannot share a plan";
   EXPECT_EQ(PlanCache::instance().size(), 2u);
+}
+
+// ---- one mesh, many states ---------------------------------------------------
+
+TEST(Ensemble, SharedMeshSimdMatchesSoloUnderFaults) {
+  // Eight Simd scenarios on one frozen mesh part, four workers leasing
+  // scratch from one pool; one scenario throws, one is poisoned. Leased
+  // scratch must not leak between instances: every clean scenario equals
+  // its solo run (private mesh part) bitwise, and so does every recovered
+  // one.
+  const auto m = mesh::make_tri_periodic(24, 24, 10.0, 10.0);
+  const auto sweep = volna::hazard_sweep(8);
+  const int steps = 12;
+  ExecConfig cfg;
+  cfg.backend = Backend::Simd;
+  cfg.nthreads = 1;
+
+  std::vector<aligned_vector<float>> solo;
+  for (const auto& sc : sweep) {
+    volna::HazardInstance inst(m, sc, cfg);
+    for (int s = 0; s < steps; ++s) inst.step();
+    solo.push_back(inst.state());
+  }
+
+  InstanceFaultPlan thrower;
+  thrower.kind = InstanceFaultKind::Throw;
+  thrower.at_step = 5;
+  InstanceFaultPlan poison;
+  poison.kind = InstanceFaultKind::Corrupt;
+  poison.at_step = 7;
+  poison.dat = "values";
+
+  EnsembleOptions opts;
+  opts.name = "shared_mesh_ens";
+  opts.workers = 4;
+  opts.batch_steps = 1;
+  opts.health.checkpoint_every = 3;
+  opts.health.check_every = 1;
+  opts.health.retry.max_attempts = 2;
+  Ensemble ens(opts);
+  ens.add_instances(8, with_fault(with_fault(volna::hazard_factory(m, sweep, cfg), thrower, 2),
+                                  poison, 5));
+  const auto rep = ens.run(steps);
+  ASSERT_EQ(rep.failed, 0);
+  EXPECT_GE(rep.restores, 2);
+
+  const auto& part = hazard_of(ens.instance(0)).mesh_part();
+  for (int i = 0; i < 8; ++i) {
+    auto& inst = hazard_of(ens.instance(i));
+    EXPECT_EQ(inst.mesh_part(), part) << "instance " << i << " has a mesh part of its own";
+    EXPECT_TRUE(bitwise_equal(inst.state(), solo[static_cast<std::size_t>(i)]))
+        << "instance " << i << " diverged from its solo run";
+  }
+  // The pool grew to the peak number of concurrent leases, not to 8.
+  EXPECT_GE(part->scratch_sets(), 1u);
+  EXPECT_LE(part->scratch_sets(), 4u);
+}
+
+TEST(Ensemble, ChainedSharedMeshMatchesSoloBitwise) {
+  // Chained Volna (LoopChain steps) over the shared part equals unchained
+  // solo Seq runs bit for bit.
+  const auto m = mesh::make_tri_periodic(16, 16, 10.0, 10.0);
+  const auto sweep = volna::hazard_sweep(3);
+  const int steps = 6;
+
+  std::vector<aligned_vector<float>> solo;
+  for (const auto& sc : sweep) {
+    volna::HazardInstance inst(m, sc, seq_cfg());
+    for (int s = 0; s < steps; ++s) inst.step();
+    solo.push_back(inst.state());
+  }
+
+  EnsembleOptions opts;
+  opts.name = "chained_ens";
+  opts.workers = 2;
+  Ensemble ens(opts);
+  ens.add_instances(3, volna::hazard_factory(m, sweep, seq_cfg(), /*chain=*/true));
+  ASSERT_EQ(ens.run(steps).completed, 3);
+  for (int i = 0; i < 3; ++i)
+    EXPECT_TRUE(bitwise_equal(hazard_of(ens.instance(i)).state(),
+                              solo[static_cast<std::size_t>(i)]))
+        << "chained instance " << i;
+}
+
+TEST(MeshPart, LaterContextsBindToTheFrozenPart) {
+  const auto m = mesh::make_tri_periodic(8, 8, 10.0, 10.0);
+  auto part = std::make_shared<MeshPart>();
+  volna::HazardInstance a(part, m, volna::Scenario{}, seq_cfg());
+  EXPECT_TRUE(part->frozen());
+  volna::HazardInstance b(part, m, volna::Scenario{1.0, 0.3, 0.06}, seq_cfg());
+  EXPECT_EQ(b.mesh_part(), part);
+  EXPECT_DOUBLE_EQ(a.initial_volume(), volna::HazardInstance(m, volna::Scenario{}, seq_cfg())
+                                           .initial_volume());
+
+  // Contexts over a frozen part repeat its declarations, in order.
+  LocalCtx wrong_order(part, seq_cfg());
+  EXPECT_THROW(wrong_order.decl_set("edges", m.nedges), opv::Error);
+  LocalCtx wrong_size(part, seq_cfg());
+  EXPECT_THROW(wrong_size.decl_set("cells", m.ncells + 1), opv::Error);
+  LocalCtx renumbering(part, seq_cfg());
+  EXPECT_THROW(renumbering.renumber(renumbering.decl_set("cells", m.ncells)), opv::Error);
+
+  // A part still being declared cannot be shared yet.
+  auto open = std::make_shared<MeshPart>();
+  LocalCtx declaring(open, seq_cfg());
+  EXPECT_THROW(LocalCtx second(open, seq_cfg()), opv::Error);
+}
+
+TEST(MeshPart, StateOverRenumberedPartFollowsItsNumbering) {
+  // State declared over a renumbered frozen part arrives in declaration
+  // order and is stored in the part's numbering, like the declaring
+  // context's own state.
+  const auto m = mesh::make_tri_periodic(8, 8, 10.0, 10.0);
+  aligned_vector<double> init(static_cast<std::size_t>(m.ncells) * 2);
+  for (std::size_t i = 0; i < init.size(); ++i) init[i] = static_cast<double>(i);
+  const auto declare = [&](LocalCtx& ctx) {
+    auto* cells = ctx.decl_set("cells", m.ncells);
+    auto* edges = ctx.decl_set("edges", m.nedges);
+    ctx.set_partition_coords(cells, nullptr);
+    ctx.decl_map("e2c", edges, cells, 2, m.edge_cells);
+    return ctx.decl_dat<double, 2>("u", cells, init);
+  };
+  auto part = std::make_shared<MeshPart>();
+  LocalCtx first(part, seq_cfg());
+  first.set_renumber(true);
+  auto* u1 = declare(first);
+  first.finalize();
+  ASSERT_FALSE(first.applied_permutations().empty());
+
+  LocalCtx second(part, seq_cfg());
+  auto* u2 = declare(second);
+  second.finalize();
+  EXPECT_EQ(std::memcmp(u1->data(), u2->data(), init.size() * sizeof(double)), 0);
+  aligned_vector<double> out;
+  second.fetch(u2, out);
+  EXPECT_EQ(out, init);
+}
+
+namespace {
+
+struct SetOnes {
+  template <class T>
+  void operator()(T* a) const {
+    a[0] = T(1);
+    a[1] = T(1);
+  }
+};
+
+}  // namespace
+
+TEST(MeshPart, ScratchIsLeasedPerStepAndZeroedAfterUnwind) {
+  auto part = std::make_shared<MeshPart>();
+  LocalCtx ctx(part, seq_cfg());
+  auto* cells = ctx.decl_set("cells", 5);
+  auto* acc = ctx.decl_scratch_dat<double, 2>("acc", cells);
+  ctx.finalize();
+  auto fill = ctx.make_loop(SetOnes{}, "fill_scratch", cells, ctx.arg<opv::WRITE>(acc));
+
+  // No storage outside a lease: a loop over the scratch dat is refused.
+  EXPECT_EQ(acc->size(), 0u);
+  EXPECT_THROW(fill.run(), opv::Error);
+
+  {
+    const auto lease = ctx.lease_scratch();
+    ASSERT_EQ(acc->size(), 10u);
+    for (const double v : acc->span()) EXPECT_EQ(v, 0.0);  // allocated zeroed
+    fill.run();
+  }
+  {
+    const auto lease = ctx.lease_scratch();
+    EXPECT_EQ(acc->at(4, 1), 1.0);  // a normal release hands the buffer back as is
+  }
+  try {
+    const auto lease = ctx.lease_scratch();
+    acc->fill(2.0);
+    throw opv::Error("step died half-way");
+  } catch (const opv::Error&) {
+  }
+  {
+    const auto lease = ctx.lease_scratch();
+    for (const double v : acc->span()) EXPECT_EQ(v, 0.0) << "partial sums survived the unwind";
+  }
+
+  // Concurrent leases by two contexts over the part get distinct buffers.
+  LocalCtx other(part, seq_cfg());
+  auto* other_acc = other.decl_scratch_dat<double, 2>("acc", other.decl_set("cells", 5));
+  other.finalize();
+  {
+    const auto l1 = ctx.lease_scratch();
+    const auto l2 = other.lease_scratch();
+    EXPECT_NE(acc->data(), other_acc->data());
+  }
+  EXPECT_EQ(part->scratch_sets(), 2u);
 }
